@@ -4,8 +4,9 @@ Measures the two workloads the batch path was built for and writes the
 results to ``BENCH_batch.json`` at the repository root:
 
 * **oracle search** — ``OracleScheduler.plan`` over the full candidate
-  grid, scalar (``use_batch=False``) vs batched, plus a warm-cache
-  repeat with a shared :class:`RunCache`;
+  grid, "scalar" (one ``engine.run`` call per candidate) vs batched
+  (the whole grid as one ``evaluate_many`` array program), plus a
+  warm-cache repeat with a shared :class:`RunCache`;
 * **figure sweep** — the Fig. 3 concurrency x budget grid (one config
   per ``engine.run`` call before; one ``evaluate_many`` array program
   after).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -37,6 +39,8 @@ BENCH_PATH = REPO_ROOT / "BENCH_batch.json"
 
 ORACLE_APP = "sp-mz.C"
 ORACLE_BUDGET_W = 1200.0
+#: Alternating timing rounds per side of the oracle comparison.
+ORACLE_REPEATS = 3
 
 FIGURE_APPS = ("ep.C", "stream", "sp.C")
 FIGURE_PKG_BUDGETS_W = (70.0, 100.0, 140.0, 180.0, 240.0)
@@ -48,25 +52,41 @@ def _fresh_engine(cache: RunCache | None = None) -> ExecutionEngine:
     return ExecutionEngine(SimulatedCluster.testbed(), seed=42, cache=cache)
 
 
+class _PerCandidateEngine(ExecutionEngine):
+    """Reference side: scores every candidate with its own ``run`` call."""
+
+    def evaluate_many(self, app, configs):
+        return [self.run(app, cfg) for cfg in configs]
+
+
 def bench_oracle_search() -> dict:
-    """Time the full oracle grid search on both evaluation paths."""
+    """Time the full oracle grid search per candidate and batched.
+
+    The two sides alternate for :data:`ORACLE_REPEATS` rounds and each
+    reports its median, so a drift in host CPU speed during the
+    measurement lands on both sides alike.
+    """
     app = get_app(ORACLE_APP)
 
-    engine = _fresh_engine()
-    scalar = OracleScheduler(engine, use_batch=False)
-    t0 = time.perf_counter()
-    scalar_plan = scalar.plan(app, ORACLE_BUDGET_W)
-    scalar_s = time.perf_counter() - t0
+    scalar_runs, batch_runs = [], []
+    for _ in range(ORACLE_REPEATS):
+        engine = _PerCandidateEngine(SimulatedCluster.testbed(), seed=42)
+        scalar = OracleScheduler(engine)
+        t0 = time.perf_counter()
+        scalar_plan = scalar.plan(app, ORACLE_BUDGET_W)
+        scalar_runs.append(time.perf_counter() - t0)
 
-    engine = _fresh_engine()
-    batch = OracleScheduler(engine, use_batch=True)
-    t0 = time.perf_counter()
-    batch_plan = batch.plan(app, ORACLE_BUDGET_W)
-    batch_s = time.perf_counter() - t0
+        engine = _fresh_engine()
+        batch = OracleScheduler(engine)
+        t0 = time.perf_counter()
+        batch_plan = batch.plan(app, ORACLE_BUDGET_W)
+        batch_runs.append(time.perf_counter() - t0)
+    scalar_s = statistics.median(scalar_runs)
+    batch_s = statistics.median(batch_runs)
 
     cache = RunCache()
     engine = _fresh_engine(cache=cache)
-    cached = OracleScheduler(engine, use_batch=True)
+    cached = OracleScheduler(engine)
     cached.plan(app, ORACLE_BUDGET_W)  # populate
     t0 = time.perf_counter()
     cached_plan = cached.plan(app, ORACLE_BUDGET_W)
@@ -78,6 +98,8 @@ def bench_oracle_search() -> dict:
         "search_stats": batch.search_stats,
         "scalar_s": scalar_s,
         "batch_s": batch_s,
+        "scalar_runs_s": scalar_runs,
+        "batch_runs_s": batch_runs,
         "warm_cache_s": cached_s,
         "speedup": scalar_s / batch_s,
         "warm_cache_speedup": scalar_s / cached_s,

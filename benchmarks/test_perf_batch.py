@@ -1,7 +1,7 @@
 """Perf guard for the batched evaluation subsystem.
 
-Times the full oracle grid search on the scalar and batched paths,
-records the measurements to ``BENCH_batch.json`` at the repository
+Times the full oracle grid search (one ``engine.run`` per candidate vs
+one batched call), records the measurements to ``BENCH_batch.json`` at the repository
 root, and enforces the ISSUE's acceptance bar: the batch path must be
 at least 5x faster while choosing the identical plan.
 """

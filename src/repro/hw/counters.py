@@ -16,6 +16,7 @@ the hw package stays independent of :mod:`repro.workloads`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,8 +60,10 @@ class EventCounters:
     duration_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            check_non_negative(getattr(self, f.name), f.name)
+        for name in _COUNTER_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN, negative or infinite
+                check_non_negative(value, name)
 
     def rates(self) -> np.ndarray:
         """Per-second event rates in Table-I order (event7 passthrough).
@@ -113,6 +116,9 @@ class EventCounters:
         total = self.event3 + self.event4
         return self.event4 / total if total > 0 else 0.0
 
+
+#: Field names checked on construction (looked up once, not per record).
+_COUNTER_FIELDS = tuple(f.name for f in fields(EventCounters))
 
 CACHE_LINE_BYTES = 64.0
 

@@ -116,7 +116,12 @@ class RaplDomain:
 
     @property
     def throttle_events(self) -> int:
-        """How many cap resolutions required throttling below demand."""
+        """How often honoring the cap required throttling below demand.
+
+        One event per executed run that throttled this domain (see
+        :meth:`RaplInterface.note_throttling`), plus one per direct
+        :meth:`RaplInterface.resolve` / ``resolve_gpu`` call that did.
+        """
         return self._throttle_events
 
     def set_cap(self, watts: float | None) -> None:
@@ -437,6 +442,16 @@ class RaplInterface:
             self._domains[Domain(name)].program(readback_w, enforced_w)
             self._stats["forced"] += 1
 
+    def enforced_caps(self) -> tuple[float, ...]:
+        """Positional ``(pkg, dram[, gpu])`` caps the silicon enforces.
+
+        The :attr:`RaplDomain.effective_cap_w` of every domain in
+        :data:`CAP_TUPLE_DOMAINS` order — what physics must be solved
+        under, whatever a drifted, dropped or partial write left there.
+        """
+        # the register table is built in CAP_TUPLE_DOMAINS order
+        return tuple(reg.effective_cap_w for reg in self._domains.values())
+
     def caps(self) -> dict[Domain, float | None]:
         """Currently programmed caps."""
         return {d: reg.cap_w for d, reg in self._domains.items()}
@@ -625,6 +640,15 @@ class RaplInterface:
     # ------------------------------------------------------------------
     # energy accounting
     # ------------------------------------------------------------------
+
+    def note_throttling(self, point: OperatingPoint) -> None:
+        """Count one throttle event per domain *point* throttled."""
+        if point.cpu_throttled:
+            self._domains[Domain.PKG].note_throttled()
+        if point.mem_throttled:
+            self._domains[Domain.DRAM].note_throttled()
+        if point.gpu_throttled:
+            self._domains[Domain.GPU].note_throttled()
 
     def accumulate(self, point: OperatingPoint, dt_s: float) -> None:
         """Integrate a steady-state interval into the energy counters."""

@@ -4,9 +4,12 @@
   scatter) and their NUMA consequences,
 * :mod:`repro.sim.mpi` — the alpha–beta inter-node communication model,
 * :mod:`repro.sim.trace` — run records and results,
-* :mod:`repro.sim.engine` — the steady-state execution engine that
-  resolves RAPL caps against workload demand and produces times,
-  powers, energies, and hardware-event counters.
+* :mod:`repro.sim.batch` — the simulator: one vectorized array program
+  that resolves RAPL caps against workload demand for many configs at
+  once and produces times, powers, energies, and hardware-event
+  counters (plus the run cache),
+* :mod:`repro.sim.engine` — the execution engine: side-effect-free
+  evaluation, and runs that program caps and account energy.
 """
 
 from repro.sim.affinity import Placement, make_placement, placement_for

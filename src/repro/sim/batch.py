@@ -1,36 +1,42 @@
-"""Batched candidate evaluation: vectorized engine fast path + run cache.
+"""The simulator: batched evaluation as one array program + run cache.
 
-The exhaustive oracle, the profiler, and every figure benchmark score
-hundreds of :class:`~repro.sim.engine.ExecutionConfig` candidates, and
-the scalar :meth:`ExecutionEngine.run` pays Python-loop overhead per
-node, per phase, per fixed-point round.  This module evaluates *many*
-candidates at once as one ``(n_candidates, n_nodes)`` NumPy array
-program:
+Every simulated execution goes through this module.  The exhaustive
+oracle, the profiler and every figure benchmark score hundreds of
+:class:`~repro.sim.engine.ExecutionConfig` candidates in one call, and
+:meth:`ExecutionEngine.run` executes a job as a single-config call
+(wrapping it with cap programming and hardware accounting).  Many
+candidates are evaluated at once as one ``(n_candidates, n_nodes)``
+NumPy array program:
 
 * :class:`RunCache` — memoizes :class:`~repro.sim.trace.RunResult`s on
   ``(app, config, engine seed, cluster spec, node efficiencies)`` with
   hit/miss counters, so repeated candidate evaluations across budgets
   and figures are free;
-* :class:`BatchEvaluator` — the vectorized replication of the engine's
-  damped fixed-point loop (cap resolution ↔ timing), numerically
-  identical to the scalar path: every expression keeps the scalar
-  code's evaluation order, per-socket reductions run in socket order,
-  and per-element convergence is tracked with a done-mask so each
-  (candidate, node) cell freezes at exactly the round the scalar loop
-  would have broken.
+* :class:`BatchEvaluator` — the damped fixed point between RAPL cap
+  resolution and the workload timing model, vectorized.  It is
+  bit-exact against the original scalar fixed-point engine (whose
+  outputs are frozen in ``tests/data/golden_engine_runs.json``): every
+  expression keeps the scalar code's evaluation order — that of
+  :meth:`RaplInterface.resolve <repro.hw.rapl.RaplInterface.resolve>`
+  and :meth:`GroundTruthModel.iteration_time
+  <repro.workloads.model.GroundTruthModel.iteration_time>` — per-socket
+  reductions run in socket order, and per-element convergence is
+  tracked with a done-mask so each (candidate, node) cell freezes at
+  exactly the round the scalar loop would have broken.
 
 Heterogeneous clusters are first-class: hardware constants are tabled
 per node *class* and gathered per (candidate, rank) cell, frequency
 ladders / ``pow`` tables are applied through per-class masks (a scalar
 exponent per class keeps the exact scalar ``np.power`` kernel), and
 placements are computed once per (class, candidate) pair — so a mixed
-Haswell + Broadwell fleet stays bit-exact against the scalar engine.
+Haswell + Broadwell fleet is bit-exact too.
 
-The batch path is side-effect-free: it does not program RAPL caps,
-accumulate energy counters, or touch power meters.  That is what makes
-memoization sound — a cache hit answers "what would this run produce?"
-without replaying hardware bookkeeping (the scalar path remains the way
-to *execute* a job when those side effects matter).
+The evaluation itself is side-effect-free: it does not program RAPL
+caps, accumulate energy counters, touch power meters, or look at node
+availability.  That is what makes memoization sound — a cache hit
+answers "what would this run produce?" without replaying hardware
+bookkeeping.  :meth:`ExecutionEngine.run` is the one place those side
+effects happen.
 """
 
 from __future__ import annotations
@@ -55,15 +61,17 @@ from repro.workloads.model import (
     _clip_total_threads,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.sim.engine import ExecutionConfig, ExecutionEngine
 
 __all__ = ["RunCache", "BatchEvaluator", "config_cache_key"]
 
-#: Fixed-point iteration control — mirrors repro.sim.engine exactly.
+#: Fixed-point iteration control.
 _MAX_ROUNDS = 12
 _DAMPING = 0.5
 _REL_TOL = 1e-6
+
+#: Activity floor used for cores idling at the step barrier.
 _IDLE_ACTIVITY = 0.05
 
 
@@ -158,9 +166,8 @@ class RunCache:
 class BatchEvaluator:
     """Scores many execution configurations against one engine at once.
 
-    Results are exactly those :meth:`ExecutionEngine.run` would return
-    (the equivalence is pinned by ``tests/sim/test_batch.py``), minus
-    the hardware side effects — see the module docstring.
+    Results are bit-exact against the frozen scalar-engine outputs
+    (pinned by ``tests/sim/test_batch.py``); see the module docstring.
     """
 
     def __init__(self, engine: "ExecutionEngine"):
@@ -177,6 +184,9 @@ class BatchEvaluator:
         self._slot_class = np.array(
             [class_list.index(s) for s in specs], dtype=np.int64
         )
+        # a slot keeps its hardware class for life (a degraded node is
+        # rebuilt from its own spec), so per-slot facts are fixed here
+        self._slot_cores = [s.n_cores for s in specs]
         self._S_max = max(s.n_sockets for s in class_list)
         self._class_S_int = [s.n_sockets for s in class_list]
         self._ladders = [
@@ -307,16 +317,63 @@ class BatchEvaluator:
         else:
             todo = list(range(len(configs)))
         if todo:
-            fresh = self._evaluate(app, [configs[i] for i in todo])
+            fresh = self.evaluate(app, [configs[i] for i in todo])
             for i, result in zip(todo, fresh):
                 out[i] = result
                 if cache is not None:
                     cache.put(keys[i], result)
         return out  # type: ignore[return-value]
 
+    def participants(self, cfg: "ExecutionConfig") -> tuple[int, ...]:
+        """Validate *cfg* against the cluster; its node ids in rank order.
+
+        Raises :class:`SchedulingError` when the config does not fit
+        the cluster and ``ValueError`` for a negative cap.  Node
+        availability is the caller's concern.
+        """
+        slot_cores = self._slot_cores
+        if cfg.n_nodes > len(slot_cores):
+            raise SchedulingError(
+                f"{cfg.n_nodes} nodes requested, cluster has {len(slot_cores)}"
+            )
+        if cfg.node_ids is not None:
+            ids = tuple(self._cluster.node(i).node_id for i in cfg.node_ids)
+        else:
+            ids = tuple(range(cfg.n_nodes))
+        min_cores = min(slot_cores[i] for i in ids)
+        if cfg.n_threads > min_cores:
+            raise SchedulingError(
+                f"{cfg.n_threads} threads requested, node has {min_cores} cores"
+            )
+        for entry in (
+            cfg.per_node_caps
+            if cfg.per_node_caps is not None
+            else [(cfg.pkg_cap_w, cfg.dram_cap_w, cfg.gpu_cap_w)]
+        ):
+            for cap in entry:
+                if cap is not None:
+                    check_non_negative(cap, "cap")
+        return ids
+
     # ------------------------------------------------------------------
     # the vectorized array program
     # ------------------------------------------------------------------
+
+    def evaluate(
+        self,
+        app: WorkloadCharacteristics,
+        configs: list["ExecutionConfig"],
+    ) -> list[RunResult]:
+        """The uncached array program: one ``RunResult`` per config.
+
+        Pure function of the configs and the cluster's current node
+        efficiencies; :meth:`ExecutionEngine.run` wraps it with cap
+        programming and hardware accounting.
+        """
+        # masked lanes (no offload, no traffic, zero time) divide by
+        # zero and are discarded by np.where; one scope for them all
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._evaluate(app, configs)
 
     def _evaluate(
         self,
@@ -330,33 +387,7 @@ class BatchEvaluator:
         S = self._S_max
         C = len(configs)
 
-        # -- validation + per-config derived facts (cheap Python) -------
-        participants_ids: list[tuple[int, ...]] = []
-        for cfg in configs:
-            if cfg.n_nodes > cluster.n_nodes:
-                raise SchedulingError(
-                    f"{cfg.n_nodes} nodes requested, cluster has {cluster.n_nodes}"
-                )
-            if cfg.node_ids is not None:
-                ids = tuple(cluster.node(i).node_id for i in cfg.node_ids)
-            else:
-                ids = tuple(range(cfg.n_nodes))
-            min_cores = min(cluster.node(i).spec.n_cores for i in ids)
-            if cfg.n_threads > min_cores:
-                raise SchedulingError(
-                    f"{cfg.n_threads} threads requested, node has "
-                    f"{min_cores} cores"
-                )
-            for entry in (
-                cfg.per_node_caps
-                if cfg.per_node_caps is not None
-                else [(cfg.pkg_cap_w, cfg.dram_cap_w, cfg.gpu_cap_w)]
-            ):
-                for cap in entry:
-                    if cap is not None:
-                        check_non_negative(cap, "cap")
-            participants_ids.append(ids)
-
+        participants_ids = [self.participants(cfg) for cfg in configs]
         NN = max(len(ids) for ids in participants_ids)
         mask = np.zeros((C, NN), dtype=bool)
         node_index = np.zeros((C, NN), dtype=np.int64)
@@ -615,8 +646,7 @@ class BatchEvaluator:
                     t_comp = (par_instr[:, j, None] - dev) / (
                         n_phase[:, j, None] * rate1
                     )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t_dev = np.where(dev > 0, dev / gpu_rate, 0.0)
+                    t_dev = np.where(dev > 0, dev / gpu_rate, 0.0)
                 else:
                     t_comp = par_instr[:, j, None] / (n_phase[:, j, None] * rate1)
                     t_dev = None
@@ -628,12 +658,11 @@ class BatchEvaluator:
                     * bw_penalty[:, :, None]
                 )  # (C, NN, S)
                 total_bw = bw.sum(axis=2)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_mem = np.where(
-                        dram_bytes_phase[:, j, None] > 0,
-                        dram_bytes_phase[:, j, None] / total_bw,
-                        0.0,
-                    )
+                t_mem = np.where(
+                    dram_bytes_phase[:, j, None] > 0,
+                    dram_bytes_phase[:, j, None] / total_bw,
+                    0.0,
+                )
                 t_par = np.maximum(t_comp, t_mem)
                 if t_dev is not None:
                     t_par = np.maximum(t_par, t_dev)
@@ -644,22 +673,22 @@ class BatchEvaluator:
                     t_iter,
                 )
                 busy = t_serial + t_comp + 0.5 * t_sync_phase[:, j, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    act = np.clip(
-                        np.where(t_iter > 0, busy / t_iter, 1.0), 0.05, 1.0
-                    )
-                    cond = (
-                        (dram_bytes_phase[:, j, None, None] > 0)
-                        & (t_iter[:, :, None] > 0)
-                        & (total_bw[:, :, None] > 0)
-                    )
-                    dem = np.where(
-                        cond,
-                        (bw / total_bw[:, :, None])
-                        * dram_bytes_phase[:, j, None, None]
-                        / t_iter[:, :, None],
-                        0.0,
-                    )
+                act = np.minimum(
+                    np.maximum(np.where(t_iter > 0, busy / t_iter, 1.0), 0.05),
+                    1.0,
+                )
+                cond = (
+                    (dram_bytes_phase[:, j, None, None] > 0)
+                    & (t_iter[:, :, None] > 0)
+                    & (total_bw[:, :, None] > 0)
+                )
+                dem = np.where(
+                    cond,
+                    (bw / total_bw[:, :, None])
+                    * dram_bytes_phase[:, j, None, None]
+                    / t_iter[:, :, None],
+                    0.0,
+                )
                 t_scaled = t_iter * oversub[:, j, None]
                 phase_t[:, :, j] = t_scaled
                 tot_t = tot_t + t_scaled
@@ -669,94 +698,76 @@ class BatchEvaluator:
                     tot_dev = tot_dev + t_dev
                 busy_weighted = busy_weighted + act * t_scaled
                 demand_acc = demand_acc + dem * t_scaled[:, :, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                act_out = np.where(tot_t > 0, busy_weighted / tot_t, 1.0)
-                dem_out = np.where(
-                    tot_t[:, :, None] > 0,
-                    demand_acc / tot_t[:, :, None],
-                    demand_acc,
-                )
+            act_out = np.where(tot_t > 0, busy_weighted / tot_t, 1.0)
+            dem_out = np.where(
+                tot_t[:, :, None] > 0,
+                demand_acc / tot_t[:, :, None],
+                demand_acc,
+            )
             return tot_t, act_out, dem_out, phase_t, tot_dev
 
-        def resolve(act: np.ndarray, dem: np.ndarray):
-            """Vectorized RaplInterface.resolve over (C, NN).
+        # -- cap-only terms of RaplInterface.resolve, fixed across rounds -
+        # DRAM cap -> bandwidth ceiling (with the level-0 floor)
+        per_cap = dram_cap / S_cell  # (C, NN)
+        mem_budget = per_cap / eff - p_base_mem
+        mem_violated = mem_budget < 0
+        util = np.minimum(np.maximum(mem_budget, 0.0) / p_load_mem, 1.0)
+        limit = np.where(mem_violated, bw_floor, util * peak_bw)
+        limit_tol = (limit * (1 + 1e-9))[:, :, None]
+        # PKG static power, as max_freq_under_pkg_cap computes it
+        static = (S_cell * p_base_pkg + n_threads[:, None] * p_leak) * eff
+        dyn_budget = pkg_cap - static
+        dyn_budget_pos = np.maximum(dyn_budget, 0.0)
+        # per-socket package power at f=0 (core_power's dynamic term
+        # vanishes), and its socket-order sum for the duty fallback
+        pkg0 = [
+            (p_base_pkg + tps_full[:, :, s] * p_leak) * eff for s in range(S)
+        ]
+        static_fb = np.zeros((C, NN))
+        for s in range(S):
+            term = pkg0[s] if sock_w is None else pkg0[s] * sock_w[:, :, s]
+            static_fb = static_fb + term
+        cap_over_static = pkg_cap - static_fb
 
-            Mirrors the scalar control flow branch by branch: DRAM cap
-            → bandwidth ceiling (with the level-0 floor), PKG cap →
-            continuous frequency (with the duty-cycle fallback below
-            f_min), ladder quantization, and the per-socket power sums
-            in socket order.
+        def frequency(act: np.ndarray):
+            """The PKG half of RaplInterface.resolve over (C, NN).
+
+            PKG cap → continuous frequency (with the duty-cycle
+            fallback below f_min) → ladder quantization.  The fixed
+            point needs only this: the DRAM ceiling is cap-only, and
+            domain powers matter once, in the final pass.  Returns the
+            ladder frequency, duty cycle, fallback mask and the
+            per-socket-summed dynamic power at f_min.
             """
-            # --- DRAM ---------------------------------------------------
-            per_cap = dram_cap / S_cell  # (C, NN)
-            budget = per_cap / eff - p_base_mem
-            mem_violated = budget < 0
-            util = np.minimum(np.maximum(budget, 0.0) / p_load_mem, 1.0)
-            limit = np.where(mem_violated, bw_floor, util * peak_bw)
-            delivered = np.minimum(dem, limit[:, :, None])
-            mem_throttled = mem_violated | (
-                dem > (limit * (1 + 1e-9))[:, :, None]
-            ).any(axis=2)
-            dram_w = np.zeros((C, NN))
-            for s in range(S):
-                term = (
-                    p_base_mem
-                    + p_load_mem
-                    * np.minimum(delivered[:, :, s] / peak_bw, 1.0)
-                ) * eff
-                if sock_w is not None:
-                    term = term * sock_w[:, :, s]
-                dram_w = dram_w + term
-
-            # --- PKG ----------------------------------------------------
-            # continuous inversion, as max_freq_under_pkg_cap computes it
-            base = S_cell * p_base_pkg
-            static = (base + n_threads[:, None] * p_leak) * eff
-            dyn_budget = pkg_cap - static
-            act_mean = act  # np.mean of a scalar is the scalar
-            denom = eff * n_threads[:, None] * p_dyn * act_mean
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.maximum(dyn_budget, 0.0) / denom
-                if K == 1:
-                    rel = np.power(ratio, self._inv_k_list[0])
-                else:
-                    # scalar exponent per class keeps the same pow kernel
-                    # the scalar path uses (vector exponents can differ
-                    # in the last ulp)
-                    rel = np.empty((C, NN))
-                    for k in range(K):
-                        rel = np.where(
-                            cls_eq[k],
-                            np.power(ratio, self._inv_k_list[k]),
-                            rel,
-                        )
+            # continuous inversion; np.mean of a scalar activity is itself
+            denom = eff * n_threads[:, None] * p_dyn * act
+            ratio = dyn_budget_pos / denom
+            if K == 1:
+                rel = np.power(ratio, self._inv_k_list[0])
+            else:
+                # scalar exponent per class keeps the same pow kernel
+                # the scalar path uses (vector exponents can differ in
+                # the last ulp)
+                rel = np.empty((C, NN))
+                for k in range(K):
+                    rel = np.where(
+                        cls_eq[k], np.power(ratio, self._inv_k_list[k]), rel
+                    )
             f_unc = rel * f_nom
             fallback = (dyn_budget < 0) | (f_unc < f_min)
             f_cont = np.where(fallback, f_min, np.minimum(f_unc, f_max))
             # duty-cycle fallback uses the per-socket static/dynamic sums
-            core0 = p_leak  # core_power(f=0): dynamic term vanishes
-            core_fmin = p_leak + p_dyn * relmin_k * act_mean
-            static_fb = np.zeros((C, NN))
+            core_fmin = p_leak + p_dyn * relmin_k * act
             pkg_fmin = np.zeros((C, NN))
             for s in range(S):
-                tps_s = tps_full[:, :, s]
-                t_static = (p_base_pkg + tps_s * core0) * eff
-                t_fmin = (p_base_pkg + tps_s * core_fmin) * eff
+                t_fmin = (p_base_pkg + tps_full[:, :, s] * core_fmin) * eff
                 if sock_w is not None:
-                    t_static = t_static * sock_w[:, :, s]
                     t_fmin = t_fmin * sock_w[:, :, s]
-                static_fb = static_fb + t_static
                 pkg_fmin = pkg_fmin + t_fmin
             dyn_fmin = pkg_fmin - static_fb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                duty_fb = np.where(
-                    dyn_fmin > 0, (pkg_cap - static_fb) / dyn_fmin, 1.0
-                )
-            duty_fb = np.clip(duty_fb, MIN_DUTY_CYCLE, 1.0)
+            duty_fb = np.where(dyn_fmin > 0, cap_over_static / dyn_fmin, 1.0)
+            duty_fb = np.minimum(np.maximum(duty_fb, MIN_DUTY_CYCLE), 1.0)
             duty = np.where(fallback, duty_fb, 1.0)
-            cpu_violated = fallback & (
-                pkg_cap < static_fb + MIN_DUTY_CYCLE * np.maximum(dyn_fmin, 0.0)
-            )
             # quantize_down: largest ladder frequency <= f + 1e-6,
             # against each cell's own class ladder
             if K == 1:
@@ -771,10 +782,36 @@ class BatchEvaluator:
                     f_allowed = np.where(
                         cls_eq[k], freqs[np.maximum(idx - 1, 0)], f_allowed
                     )
-            cpu_throttled = (
-                (duty < 1.0) | cpu_violated | (f_allowed < f_demand)
+            return np.minimum(f_demand, f_allowed), duty, fallback, dyn_fmin
+
+        def resolve(act: np.ndarray, dem: np.ndarray):
+            """Vectorized RaplInterface.resolve over (C, NN).
+
+            Mirrors the scalar control flow branch by branch: DRAM cap
+            → bandwidth ceiling, PKG cap → frequency (:func:`frequency`),
+            throttle flags, and the per-socket power sums in socket
+            order.
+            """
+            # --- DRAM ---------------------------------------------------
+            delivered = np.minimum(dem, limit[:, :, None])
+            mem_throttled = mem_violated | (dem > limit_tol).any(axis=2)
+            dram_w = np.zeros((C, NN))
+            for s in range(S):
+                term = (
+                    p_base_mem
+                    + p_load_mem
+                    * np.minimum(delivered[:, :, s] / peak_bw, 1.0)
+                ) * eff
+                if sock_w is not None:
+                    term = term * sock_w[:, :, s]
+                dram_w = dram_w + term
+
+            # --- PKG ----------------------------------------------------
+            f, duty, fallback, dyn_fmin = frequency(act)
+            cpu_violated = fallback & (
+                pkg_cap < static_fb + MIN_DUTY_CYCLE * np.maximum(dyn_fmin, 0.0)
             )
-            f = np.minimum(f_demand, f_allowed)
+            cpu_throttled = (duty < 1.0) | cpu_violated | (f < f_demand)
             # f is always a rung of the cell's own ladder: look its
             # (f/f_nom)^k up in the per-class scalar-path table instead
             # of re-running vectorized pow
@@ -784,21 +821,18 @@ class BatchEvaluator:
             else:
                 pow_f = np.empty((C, NN))
                 for k in range(K):
-                    f_idx = np.clip(
+                    f_idx = np.minimum(
                         np.searchsorted(self._freqs_k[k], f),
-                        0,
                         len(self._freqs_k[k]) - 1,
                     )
                     pow_f = np.where(
                         cls_eq[k], self._pow_ladder_k[k][f_idx], pow_f
                     )
-            core_f = p_leak + p_dyn * pow_f * act_mean
+            core_f = p_leak + p_dyn * pow_f * act
             pkg_w = np.zeros((C, NN))
             for s in range(S):
-                tps_s = tps_full[:, :, s]
-                pkg0 = (p_base_pkg + tps_s * core0) * eff
-                pkgf = (p_base_pkg + tps_s * core_f) * eff
-                term = pkg0 + (pkgf - pkg0) * duty
+                pkgf = (p_base_pkg + tps_full[:, :, s] * core_f) * eff
+                term = pkg0[s] + (pkgf - pkg0[s]) * duty
                 if sock_w is not None:
                     term = term * sock_w[:, :, s]
                 pkg_w = pkg_w + term
@@ -816,8 +850,10 @@ class BatchEvaluator:
             }
 
         # -- damped fixed point with per-element convergence freezing ----
+        # Only the activity feeds back: the bandwidth ceiling depends on
+        # the caps alone, and bandwidth demand only sets DRAM power,
+        # which the final pass computes from the frozen demand.
         state_act = np.full((C, NN), 0.9)
-        state_dem = np.where(tps_full > 0, peak_bw[:, :, None], 0.0)
         done = ~mask  # non-participating slots never iterate
         prev_t = np.zeros((C, NN))
         have_prev = False
@@ -827,22 +863,25 @@ class BatchEvaluator:
         fz_phase = np.zeros((C, NN, P))
         fz_dev = np.zeros((C, NN))
         for _ in range(_MAX_ROUNDS):
-            op = resolve(state_act, state_dem)
-            t_iter, act_t, dem_t, phase_t, dev_t = timing(op["f_eff"], op["limit"])
-            upd = ~done
-            fz_t = np.where(upd, t_iter, fz_t)
-            fz_act = np.where(upd, act_t, fz_act)
-            fz_dem = np.where(upd[:, :, None], dem_t, fz_dem)
-            fz_phase = np.where(upd[:, :, None], phase_t, fz_phase)
-            fz_dev = np.where(upd, dev_t, fz_dev)
-            state_act = np.where(
-                upd, _DAMPING * state_act + (1 - _DAMPING) * act_t, state_act
-            )
-            state_dem = np.where(
-                upd[:, :, None],
-                _DAMPING * state_dem + (1 - _DAMPING) * dem_t,
-                state_dem,
-            )
+            f, duty, _, _ = frequency(state_act)
+            t_iter, act_t, dem_t, phase_t, dev_t = timing(f * duty, limit)
+            next_act = _DAMPING * state_act + (1 - _DAMPING) * act_t
+            if done.any():
+                upd = ~done
+                fz_t = np.where(upd, t_iter, fz_t)
+                fz_act = np.where(upd, act_t, fz_act)
+                fz_dem = np.where(upd[:, :, None], dem_t, fz_dem)
+                fz_phase = np.where(upd[:, :, None], phase_t, fz_phase)
+                fz_dev = np.where(upd, dev_t, fz_dev)
+                state_act = np.where(upd, next_act, state_act)
+            else:
+                # every cell still iterates: the freezing selects are
+                # identities, so skip them
+                upd = True
+                fz_t, fz_act, fz_dem, fz_phase, fz_dev = (
+                    t_iter, act_t, dem_t, phase_t, dev_t
+                )
+                state_act = next_act
             if have_prev:
                 done = done | (
                     upd & (np.abs(t_iter - prev_t) <= _REL_TOL * prev_t)
@@ -876,10 +915,7 @@ class BatchEvaluator:
                 term = term * sock_w[:, :, s]
             idle_pkg = idle_pkg + term
         idle_dram = S_cell * ((p_base_mem + p_load_mem * 0.0) * eff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            busy_frac = np.where(
-                t_step[:, None] > 0, fz_t / t_step[:, None], 1.0
-            )
+        busy_frac = np.where(t_step[:, None] > 0, fz_t / t_step[:, None], 1.0)
         avg_pkg = op["pkg_w"] * busy_frac + idle_pkg * (1.0 - busy_frac)
         avg_dram = op["dram_w"] * busy_frac + idle_dram * (1.0 - busy_frac)
         p_other = self._c_p_other[cls]  # (C, NN)
@@ -890,10 +926,7 @@ class BatchEvaluator:
         dev_busy = np.zeros((C, NN))
         avg_gpu = np.zeros((C, NN))
         if any_gpu:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dev_busy = np.where(
-                    fz_t > 0, np.minimum(fz_dev / fz_t, 1.0), 0.0
-                )
+            dev_busy = np.where(fz_t > 0, np.minimum(fz_dev / fz_t, 1.0), 0.0)
             for k in range(K):
                 if not self._class_has_gpu[k]:
                     continue
@@ -930,7 +963,7 @@ class BatchEvaluator:
                     hasgpu[:, r], rank_peak + gpu_w_op[:, r], rank_peak
                 )
             peak = peak + np.where(mask[:, r], rank_peak, 0.0)
-        # p_other enters peak exactly as the scalar engine adds it:
+        # p_other enters peak exactly as the scalar engine added it:
         # count * value when all participants share one hardware class,
         # otherwise one per-rank addition at a time
         one_shot = np.zeros(C)
@@ -950,8 +983,7 @@ class BatchEvaluator:
                 peak = peak + np.where(
                     is_multi & mask[:, r], rank_other[:, r], 0.0
                 )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            avg_power = np.where(total_time > 0, energy / total_time, 0.0)
+        avg_power = np.where(total_time > 0, energy / total_time, 0.0)
 
         # event-counter synthesis (vectorized values, per-config noise)
         instr_run = instr_total * iterations  # (C,)
@@ -990,55 +1022,63 @@ class BatchEvaluator:
         values = values * np.exp(noise)
 
         # -- assemble RunResult objects ----------------------------------
+        # one tolist() per array gives Python floats/bools (exactly
+        # float(x)); zip then yields each config's per-rank lists
+        rows = zip(
+            *(
+                arr.tolist()
+                for arr in (
+                    op["f"], op["limit"], op["pkg_w"], op["dram_w"],
+                    op["cpu_throttled"], op["mem_throttled"],
+                    op["cpu_violated"], op["mem_violated"], op["duty"],
+                    gpu_clock, gpu_w_op, gpu_throt, gpu_violated, values,
+                    duration, fz_t, fz_act, busy_frac, avg_pkg, avg_dram,
+                    fz_phase, avg_gpu, dev_busy, cls,
+                )
+            )
+        )
         results: list[RunResult] = []
-        for c, cfg in enumerate(configs):
+        for c, (cfg, row) in enumerate(zip(configs, rows)):
+            (
+                f_l, limit_l, pkg_l, dram_l, cpu_thr_l, mem_thr_l,
+                cpu_vio_l, mem_vio_l, duty_l, gclk_l, gpu_w_l, gpu_thr_l,
+                gpu_vio_l, values_l, duration_l, t_l, act_l, busy_l,
+                avg_pkg_l, avg_dram_l, phase_l, avg_gpu_l, dev_busy_l, cls_l,
+            ) = row
             records = []
             for rank, node_id in enumerate(participants_ids[c]):
-                n_sock = self._class_S_int[int(cls[c, rank])]
                 point = OperatingPoint(
-                    frequency_hz=float(op["f"][c, rank]),
-                    bandwidth_per_socket=tuple(
-                        float(op["limit"][c, rank]) for _ in range(n_sock)
-                    ),
-                    pkg_power_w=float(op["pkg_w"][c, rank]),
-                    dram_power_w=float(op["dram_w"][c, rank]),
-                    cpu_throttled=bool(op["cpu_throttled"][c, rank]),
-                    mem_throttled=bool(op["mem_throttled"][c, rank]),
-                    cpu_cap_violated=bool(op["cpu_violated"][c, rank]),
-                    mem_cap_violated=bool(op["mem_violated"][c, rank]),
-                    duty_cycle=float(op["duty"][c, rank]),
-                    gpu_clock_hz=float(gpu_clock[c, rank]),
-                    gpu_power_w=float(gpu_w_op[c, rank]),
-                    gpu_throttled=bool(gpu_throt[c, rank]),
-                    gpu_cap_violated=bool(gpu_violated[c, rank]),
+                    frequency_hz=f_l[rank],
+                    bandwidth_per_socket=(limit_l[rank],)
+                    * self._class_S_int[cls_l[rank]],
+                    pkg_power_w=pkg_l[rank],
+                    dram_power_w=dram_l[rank],
+                    cpu_throttled=cpu_thr_l[rank],
+                    mem_throttled=mem_thr_l[rank],
+                    cpu_cap_violated=cpu_vio_l[rank],
+                    mem_cap_violated=mem_vio_l[rank],
+                    duty_cycle=duty_l[rank],
+                    gpu_clock_hz=gclk_l[rank],
+                    gpu_power_w=gpu_w_l[rank],
+                    gpu_throttled=gpu_thr_l[rank],
+                    gpu_cap_violated=gpu_vio_l[rank],
                 )
                 events = EventCounters(
-                    event0=float(values[c, rank, 0]),
-                    event1=float(values[c, rank, 1]),
-                    event2=float(values[c, rank, 2]),
-                    event3=float(values[c, rank, 3]),
-                    event4=float(values[c, rank, 4]),
-                    event5=float(values[c, rank, 5]),
-                    event6=float(values[c, rank, 6]),
-                    event7=0.0,
-                    duration_s=float(duration[c, rank]),
+                    *values_l[rank], event7=0.0, duration_s=duration_l[rank]
                 )
                 records.append(
                     NodeRunRecord(
                         node_id=node_id,
                         operating_point=point,
-                        t_iter_s=float(fz_t[c, rank]),
-                        activity=float(fz_act[c, rank]),
-                        busy_fraction=float(busy_frac[c, rank]),
-                        avg_pkg_w=float(avg_pkg[c, rank]),
-                        avg_dram_w=float(avg_dram[c, rank]),
+                        t_iter_s=t_l[rank],
+                        activity=act_l[rank],
+                        busy_fraction=busy_l[rank],
+                        avg_pkg_w=avg_pkg_l[rank],
+                        avg_dram_w=avg_dram_l[rank],
                         events=events,
-                        phase_times=tuple(
-                            (phase_names[j], float(fz_phase[c, rank, j]))
-                            for j in range(P)
-                        ),
-                        avg_gpu_w=float(avg_gpu[c, rank]),
-                        gpu_busy_fraction=float(dev_busy[c, rank]),
+                        phase_times=tuple(zip(phase_names, phase_l[rank])),
+                        avg_gpu_w=avg_gpu_l[rank],
+                        gpu_busy_fraction=dev_busy_l[rank],
                     )
                 )
             results.append(

@@ -1,16 +1,24 @@
-"""The steady-state execution engine.
+"""The execution engine.
 
 Runs a workload on the simulated cluster under a concrete execution
 configuration (nodes, threads, affinity, per-node power caps) and
 returns a :class:`~repro.sim.trace.RunResult`.
 
-The engine resolves the circular dependency between power capping and
-performance by fixed-point iteration: the workload's bandwidth demand
+The physics lives in one place, the vectorized
+:class:`~repro.sim.batch.BatchEvaluator`: a damped fixed point between
+RAPL cap resolution and the workload's timing model (bandwidth demand
 and core activity depend on the iteration time, which depends on the
-RAPL-resolved frequency and bandwidth, which depend on demand and
-activity.  The loop is damped and converges in a handful of rounds
-(each round is O(sockets) arithmetic, so a full cluster run costs
-microseconds — cheap enough for the exhaustive oracle baseline).
+frequency and bandwidth the caps allow), solved for many candidate
+configurations at once.  The engine offers two ways in:
+
+* :meth:`ExecutionEngine.evaluate` / :meth:`~ExecutionEngine.evaluate_many`
+  answer what-if questions — "what would this config produce?" — with
+  no hardware side effects and regardless of node availability;
+* :meth:`ExecutionEngine.run` executes one job on the hardware: it
+  refuses failed nodes, programs every participant's caps through the
+  actuation policy, solves the physics under the caps the registers
+  actually enforce, and accounts the run into RAPL energy counters,
+  throttle events and power meters.
 
 Execution is bulk-synchronous: every iteration, all participating
 nodes compute their local share, then exchange halos/collectives; the
@@ -22,28 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.errors import NodeFailureError, SchedulingError
 from repro.hw.cluster import SimulatedCluster
-from repro.hw.counters import synthesize_counters
 from repro.hw.numa import AffinityKind
 from repro.hw.power import PowerBreakdown
-from repro.sim.affinity import Placement, make_placement, placement_for
+from repro.sim.batch import BatchEvaluator, config_cache_key
 from repro.sim.mpi import CommModel
-from repro.sim.trace import NodeRunRecord, RunResult
+from repro.sim.trace import RunResult
 from repro.workloads.characteristics import WorkloadCharacteristics
-from repro.workloads.model import GroundTruthModel
 
 __all__ = ["ExecutionConfig", "ExecutionEngine"]
-
-#: Fixed-point iteration control.
-_MAX_ROUNDS = 12
-_DAMPING = 0.5
-_REL_TOL = 1e-6
-
-#: Activity floor used for cores idling at the step barrier.
-_IDLE_ACTIVITY = 0.05
 
 
 @dataclass(frozen=True)
@@ -135,19 +131,14 @@ class ExecutionEngine:
     when set, :meth:`run`, :meth:`evaluate` and :meth:`evaluate_many`
     memoize results on ``(app, config, seed, cluster spec, node
     efficiencies)``.  A cache hit skips the run's hardware side effects
-    (RAPL energy accumulation, meter records), so attach a cache only
-    where repeated *evaluation* is the point — search, profiling,
-    benchmarks — not where per-run accounting matters.
+    (cap writes, RAPL energy and throttle accounting, meter records),
+    so attach a cache only where repeated *evaluation* is the point —
+    search, profiling, benchmarks — not where per-run accounting
+    matters.
     """
 
     def __init__(self, cluster: SimulatedCluster, seed: int = 42, cache=None):
         self._cluster = cluster
-        # one ground-truth timing model per distinct hardware class
-        self._models = {
-            spec: GroundTruthModel(spec)
-            for spec in dict.fromkeys(cluster.spec.node_specs)
-        }
-        self._model = self._models[cluster.spec.node_specs[0]]
         self._comm = CommModel(cluster.spec)
         self._seed = seed
         self._cache = cache
@@ -158,15 +149,6 @@ class ExecutionEngine:
     def cluster(self) -> SimulatedCluster:
         """The testbed this engine executes on."""
         return self._cluster
-
-    @property
-    def ground_truth(self) -> GroundTruthModel:
-        """Slot-0 node-class timing model (for oracle/test use only)."""
-        return self._model
-
-    def ground_truth_for(self, node_spec) -> GroundTruthModel:
-        """The timing model of one hardware class."""
-        return self._models[node_spec]
 
     @property
     def comm_model(self) -> CommModel:
@@ -212,8 +194,6 @@ class ExecutionEngine:
         Includes the current per-node efficiency factors so cluster
         mutations (``degrade_node``) invalidate stale entries.
         """
-        from repro.sim.batch import config_cache_key
-
         return (
             app,
             config_cache_key(config),
@@ -227,24 +207,31 @@ class ExecutionEngine:
     def evaluate_many(
         self, app: WorkloadCharacteristics, configs: list[ExecutionConfig]
     ) -> list[RunResult]:
-        """Score many configs at once on the vectorized batch path.
+        """Score many configs at once as one array program.
 
         Returns one :class:`RunResult` per config, in order, identical
-        to what :meth:`run` would produce — but computed as a single
-        ``(n_candidates, n_nodes)`` array program and memoized through
-        :attr:`cache` when one is attached.  No hardware side effects.
+        to what :meth:`run` would produce under perfect actuation —
+        computed as a single ``(n_candidates, n_nodes)`` array program
+        and memoized through :attr:`cache` when one is attached.  No
+        hardware side effects; node availability is not checked.
         """
-        if self._batch is None:
-            from repro.sim.batch import BatchEvaluator
-
-            self._batch = BatchEvaluator(self)
-        return self._batch.run_many(app, configs)
+        return self._evaluator().run_many(app, configs)
 
     def evaluate(
         self, app: WorkloadCharacteristics, config: ExecutionConfig
     ) -> RunResult:
-        """Side-effect-free single-config evaluation (batch path)."""
+        """Side-effect-free single-config evaluation.
+
+        A what-if answer: failed nodes are evaluated as if they were
+        up, and no register, counter or meter is touched.  Use
+        :meth:`run` to execute a job.
+        """
         return self.evaluate_many(app, [config])[0]
+
+    def _evaluator(self) -> BatchEvaluator:
+        if self._batch is None:
+            self._batch = BatchEvaluator(self)
+        return self._batch
 
     # ------------------------------------------------------------------
 
@@ -253,300 +240,61 @@ class ExecutionEngine:
     ) -> RunResult:
         """Execute *app* under *config* and return the result.
 
+        Unlike :meth:`evaluate`, this is a run on the hardware: failed
+        nodes are refused, each participant's caps are programmed
+        through its actuation policy (so dropped, partial and drifted
+        writes happen here), the physics is solved under the caps the
+        registers actually *enforce*, and the run is accounted into
+        every participant's RAPL energy counters, throttle-event
+        counts and power meter.
+
         Raises
         ------
         SchedulingError
             If the configuration does not fit the cluster.
-        PowerDomainError
-            If a cap is below the hardware floor for the requested
-            concurrency (propagated from cap resolution).
+        NodeFailureError
+            If a participating node has failed (before any cap write).
         """
         if self._cache is not None:
             key = self.cache_key(app, config)
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
+        evaluator = self._evaluator()
         cluster = self._cluster
-        if config.n_nodes > cluster.n_nodes:
-            raise SchedulingError(
-                f"{config.n_nodes} nodes requested, cluster has {cluster.n_nodes}"
-            )
-        if config.node_ids is not None:
-            participants = [cluster.node(i) for i in config.node_ids]
-        else:
-            participants = list(cluster.nodes[: config.n_nodes])
-        min_cores = min(n.spec.n_cores for n in participants)
-        if config.n_threads > min_cores:
-            raise SchedulingError(
-                f"{config.n_threads} threads requested, node has {min_cores} cores"
-            )
-
-        # Placement is identical on every node of one hardware class
-        # (homogeneous job launch); mixed clusters place per class.
-        placements: dict = {}
-        phase_tps_by: dict = {}
-        for part in participants:
-            spec = part.spec
-            if spec in placements:
-                continue
-            topo = part.numa
-            if config.affinity is None:
-                placement = placement_for(
-                    topo,
-                    config.n_threads,
-                    app.shared_fraction,
-                    app.is_memory_intensive,
-                )
-            else:
-                placement = make_placement(
-                    topo, config.n_threads, config.affinity, app.shared_fraction
-                )
-            placements[spec] = placement
-            phase_tps_by[spec] = {
-                name: tuple(
-                    int(c)
-                    for c in make_placement(
-                        topo, n, placement.kind, app.shared_fraction
-                    ).threads_per_socket
-                )
-                for name, n in config.phase_threads.items()
-            }
-
-        iterations = config.iterations or app.iterations
-        # strong scaling divides the global problem over the nodes;
-        # weak scaling gives every node a full reference-size domain
-        work_fraction = (
-            1.0 / config.n_nodes if config.scaling == "strong" else 1.0
-        )
-
-        down = [n.node_id for n in participants if not cluster.is_available(n.node_id)]
+        participants = [
+            cluster.node(i) for i in evaluator.participants(config)
+        ]
+        down = [
+            n.node_id for n in participants if not cluster.is_available(n.node_id)
+        ]
         if down:
             raise NodeFailureError(
                 f"cannot run on failed node(s) {down}; "
                 f"available: {list(cluster.available_node_ids)}"
             )
-
-        records: list[NodeRunRecord] = []
-        rng = self._run_rng(app, config)
         for rank, node in enumerate(participants):
-            records.append(
-                self._run_node(
-                    node, app, config,
-                    placements[node.spec], phase_tps_by[node.spec],
-                    work_fraction, iterations, rng, rank,
-                )
-            )
-
-        comm_s = self._comm.iteration_time(
-            app, config.n_nodes, scaling=config.scaling
+            pkg_cap, dram_cap = config.caps_for(rank)
+            node.set_power_caps(pkg_cap, dram_cap, config.gpu_cap_for(rank))
+        enforced = tuple(node.rapl.enforced_caps() for node in participants)
+        (result,) = evaluator.evaluate(
+            app, [replace(config, per_node_caps=enforced)]
         )
-        t_step = max(r.t_iter_s for r in records) + comm_s
-        total_time = iterations * t_step
-
-        # Energy: each node is busy for its own iteration time and
-        # idles at the barrier for the remainder of every step.
-        energy = 0.0
-        peak = 0.0
-        final_records = []
-        for node, rec in zip(participants, records):
+        for node, rec in zip(participants, result.nodes):
             spec = node.spec
-            placement = placements[spec]
-            busy_frac = rec.t_iter_s / t_step if t_step > 0 else 1.0
-            idle_pkg = sum(
-                node.power_model.pkg_power(
-                    c, spec.socket.f_min, _IDLE_ACTIVITY
-                )
-                for c in placement.threads_per_socket
+            node.rapl.accumulate(
+                rec.operating_point, result.iterations * rec.t_iter_s
             )
-            idle_dram = spec.n_sockets * node.power_model.dram_power(0.0)
-            avg_pkg = rec.operating_point.pkg_power_w * busy_frac + idle_pkg * (
-                1.0 - busy_frac
-            )
-            avg_dram = rec.operating_point.dram_power_w * busy_frac + idle_dram * (
-                1.0 - busy_frac
-            )
-            if spec.has_gpu:
-                # The board falls back to its idle floor while the host
-                # waits at the step barrier.
-                idle_gpu = spec.p_gpu_idle_w * node.efficiency
-                avg_gpu = rec.operating_point.gpu_power_w * busy_frac + idle_gpu * (
-                    1.0 - busy_frac
-                )
-                node_energy = (
-                    avg_pkg + avg_dram + avg_gpu + spec.p_other_w
-                ) * total_time
-                peak += (
-                    rec.operating_point.pkg_power_w
-                    + rec.operating_point.dram_power_w
-                    + rec.operating_point.gpu_power_w
-                )
-            else:
-                avg_gpu = 0.0
-                node_energy = (avg_pkg + avg_dram + spec.p_other_w) * total_time
-                peak += (
-                    rec.operating_point.pkg_power_w
-                    + rec.operating_point.dram_power_w
-                )
-            energy += node_energy
-            node.rapl.accumulate(rec.operating_point, iterations * rec.t_iter_s)
+            node.rapl.note_throttling(rec.operating_point)
             node.meter.record(
                 PowerBreakdown(
-                    pkg_w=avg_pkg,
-                    dram_w=avg_dram,
+                    pkg_w=rec.avg_pkg_w,
+                    dram_w=rec.avg_dram_w,
                     other_w=spec.p_other_w,
-                    gpu_w=avg_gpu if spec.has_gpu else None,
+                    gpu_w=rec.avg_gpu_w if spec.has_gpu else None,
                 ),
-                total_time,
+                result.total_time_s,
             )
-            final_records.append(
-                NodeRunRecord(
-                    node_id=rec.node_id,
-                    operating_point=rec.operating_point,
-                    t_iter_s=rec.t_iter_s,
-                    activity=rec.activity,
-                    busy_fraction=busy_frac,
-                    avg_pkg_w=avg_pkg,
-                    avg_dram_w=avg_dram,
-                    events=rec.events,
-                    phase_times=rec.phase_times,
-                    avg_gpu_w=avg_gpu,
-                    gpu_busy_fraction=rec.gpu_busy_fraction,
-                )
-            )
-        first_spec = participants[0].spec
-        if all(n.spec == first_spec for n in participants):
-            # seed's count * value arithmetic, kept bit-identical
-            peak += config.n_nodes * first_spec.p_other_w
-        else:
-            for node in participants:
-                peak += node.spec.p_other_w
-
-        result = RunResult(
-            app_name=app.name,
-            n_nodes=config.n_nodes,
-            n_threads_per_node=config.n_threads,
-            affinity=placements[first_spec].kind.value,
-            iterations=iterations,
-            t_step_s=t_step,
-            comm_s=comm_s,
-            total_time_s=total_time,
-            energy_j=energy,
-            avg_power_w=energy / total_time if total_time > 0 else 0.0,
-            peak_power_w=peak,
-            nodes=tuple(final_records),
-        )
         if self._cache is not None:
             self._cache.put(key, result)
         return result
-
-    # ------------------------------------------------------------------
-
-    def _run_node(
-        self,
-        node,
-        app: WorkloadCharacteristics,
-        config: ExecutionConfig,
-        placement: Placement,
-        phase_tps: dict[str, tuple[int, ...]],
-        work_fraction: float,
-        iterations: int,
-        rng: np.random.Generator,
-        rank: int = 0,
-    ) -> NodeRunRecord:
-        """Fixed-point resolve one node's steady state."""
-        pkg_cap, dram_cap = config.caps_for(rank)
-        node.set_power_caps(pkg_cap, dram_cap, config.gpu_cap_for(rank))
-        model = self._models[node.spec]
-        # The device clock is sized once, against worst-case (fully
-        # busy) draw, so it is independent of the damped host loop.
-        gpu_rate = 0.0
-        gpu_clock = 0.0
-        gpu_throttled = gpu_violated = False
-        if node.spec.has_gpu and app.gpu_fraction > 0:
-            gpu_clock, gpu_throttled, gpu_violated = node.rapl.resolve_gpu()
-            gpu_rate = model.device_rate(app, gpu_clock)
-        mem = node.spec.socket.memory
-        tps = placement.threads_per_socket
-        activity = 0.9
-        demand = tuple(
-            mem.peak_bandwidth if c > 0 else 0.0 for c in tps
-        )
-        timing = None
-        prev_t = None
-        op = None
-        for _ in range(_MAX_ROUNDS):
-            op = node.rapl.resolve(
-                tps, activity, demand, config.frequency_hz
-            )
-            timing = model.iteration_time(
-                app,
-                tps,
-                op.effective_frequency_hz,
-                op.bandwidth_per_socket,
-                remote_fraction=placement.remote_fraction,
-                work_fraction=work_fraction,
-                phase_threads=phase_tps or None,
-                gpu_rate=gpu_rate,
-            )
-            activity = _DAMPING * activity + (1 - _DAMPING) * timing.activity
-            demand = tuple(
-                _DAMPING * d + (1 - _DAMPING) * nd
-                for d, nd in zip(demand, timing.bw_demand_per_socket)
-            )
-            if prev_t is not None and abs(timing.t_iter_s - prev_t) <= _REL_TOL * prev_t:
-                break
-            prev_t = timing.t_iter_s
-
-        # Final consistency pass with converged activity/demand.
-        op = node.rapl.resolve(
-            tps, timing.activity, timing.bw_demand_per_socket, config.frequency_hz
-        )
-        if node.spec.has_gpu:
-            # Device power over the busy iteration: dynamic draw for the
-            # share of the step the kernels run, idle floor otherwise.
-            # A board with nothing offloaded still idles on the bus.
-            if gpu_rate > 0:
-                gpu_w = node.power_model.gpu_power(
-                    gpu_clock, timing.device_busy_fraction
-                )
-            else:
-                gpu_w = node.spec.p_gpu_idle_w * node.efficiency
-            op = replace(
-                op,
-                gpu_clock_hz=gpu_clock,
-                gpu_power_w=gpu_w,
-                gpu_throttled=gpu_throttled,
-                gpu_cap_violated=gpu_violated,
-            )
-        events = synthesize_counters(
-            instructions=timing.instructions * iterations,
-            duration_s=timing.t_iter_s * iterations,
-            n_threads=placement.n_threads,
-            frequency_hz=op.effective_frequency_hz,
-            dram_bytes=timing.dram_bytes * iterations,
-            remote_fraction=placement.remote_fraction,
-            icache_mpki=app.icache_mpki,
-            rng=rng,
-        )
-        return NodeRunRecord(
-            node_id=node.node_id,
-            operating_point=op,
-            t_iter_s=timing.t_iter_s,
-            activity=timing.activity,
-            busy_fraction=1.0,
-            avg_pkg_w=op.pkg_power_w,
-            avg_dram_w=op.dram_power_w,
-            events=events,
-            phase_times=timing.phase_times,
-            avg_gpu_w=op.gpu_power_w,
-            gpu_busy_fraction=timing.device_busy_fraction,
-        )
-
-    def _run_rng(
-        self, app: WorkloadCharacteristics, config: ExecutionConfig
-    ) -> np.random.Generator:
-        """Deterministic per-(app, config) RNG for counter noise."""
-        name_hash = sum(ord(c) * (i + 1) for i, c in enumerate(app.name)) % (2**31)
-        return np.random.default_rng(
-            [self._seed, name_hash, config.n_nodes, config.n_threads]
-        )

@@ -12,6 +12,7 @@ from repro.baselines.allin import ALLIN_MEM_W
 from repro.baselines.lowerlimit import NODE_FLOOR_W
 from repro.errors import InfeasibleBudgetError
 from repro.workloads.apps import get_app
+from tests.sim.golden_runs import ORACLE_BUDGETS, config_dict, golden
 
 
 class TestAllIn:
@@ -147,12 +148,14 @@ class TestOracle:
         assert grid[-1] == pytest.approx(node.p_mem_max_w)
 
     def test_batch_and_scalar_paths_agree(self, engine):
+        """Plans and search stats equal those of the scalar-engine oracle,
+        frozen in ``tests/data/golden_engine_runs.json``."""
         app = get_app("sp-mz.C")
-        batch = OracleScheduler(engine, thread_step=6, use_batch=True)
-        scalar = OracleScheduler(engine, thread_step=6, use_batch=False)
-        for budget in (900.0, 1400.0):
-            assert batch.plan(app, budget) == scalar.plan(app, budget)
-            assert batch.search_stats == scalar.search_stats
+        oracle = OracleScheduler(engine, thread_step=6)
+        for budget in ORACLE_BUDGETS:
+            frozen = golden()["oracle"][f"{app.name}@{budget:.0f}"]
+            assert config_dict(oracle.plan(app, budget)) == frozen["plan"]
+            assert oracle.search_stats == frozen["search_stats"]
 
     def test_search_stats_bookkeeping(self, engine):
         oracle = OracleScheduler(engine, thread_step=6)

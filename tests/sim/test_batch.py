@@ -1,12 +1,15 @@
-"""Batched evaluation: exact equivalence with the scalar path + memoization.
+"""Batched evaluation: bit-exact against the frozen scalar engine + memoization.
 
-The batch evaluator's contract is *bit-exact* agreement with
-``ExecutionEngine.run`` — every ``RunResult`` field, including the
-synthesized PMU counters, must match the scalar path exactly (the
-ISSUE's 1e-9 tolerance is the ceiling; the implementation achieves
-equality).  The cache tests pin the memoization semantics: keys cover
-the application, the full configuration, the engine seed, and the
-current per-node efficiency factors, so fault injection and reseeding
+The simulator's contract is *bit-exact* agreement with the original
+scalar fixed-point engine, whose outputs are frozen in
+``tests/data/golden_engine_runs.json`` (see ``golden_runs.py``): every
+``RunResult`` field, including the synthesized PMU counters, of both
+``evaluate_many`` and ``run`` must equal the recorded one.  ``run``
+additionally must leave the same registers, RAPL energy, meter
+intervals and actuation counters behind under injected write faults.
+The cache tests pin the memoization semantics: keys cover the
+application, the full configuration, the engine seed, and the current
+per-node efficiency factors, so fault injection and reseeding
 invalidate naturally.
 """
 
@@ -14,29 +17,55 @@ import dataclasses
 
 import pytest
 
+from repro.errors import NodeFailureError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.numa import AffinityKind
 from repro.sim.batch import BatchEvaluator, RunCache, config_cache_key
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.workloads.apps import get_app
+from tests.sim.golden_runs import (
+    canon,
+    case_ids,
+    config_dict,
+    fault_sequence,
+    golden,
+)
 
 
-def assert_identical(batch, scalar):
+def assert_identical(actual, expected):
     """Field-by-field exact comparison with a readable failure message."""
-    assert batch.app_name == scalar.app_name
-    assert batch.n_nodes == scalar.n_nodes
-    assert len(batch.nodes) == len(scalar.nodes)
-    for b, s in zip(batch.nodes, scalar.nodes):
-        for field in dataclasses.fields(s):
-            bv = getattr(b, field.name)
-            sv = getattr(s, field.name)
-            assert bv == sv, (
-                f"node {s.node_id}: {field.name} differs: {bv!r} != {sv!r}"
+    assert actual.app_name == expected.app_name
+    assert actual.n_nodes == expected.n_nodes
+    assert len(actual.nodes) == len(expected.nodes)
+    for a, e in zip(actual.nodes, expected.nodes):
+        for field in dataclasses.fields(e):
+            av = getattr(a, field.name)
+            ev = getattr(e, field.name)
+            assert av == ev, (
+                f"node {e.node_id}: {field.name} differs: {av!r} != {ev!r}"
             )
-    for field in dataclasses.fields(scalar):
-        bv = getattr(batch, field.name)
-        sv = getattr(scalar, field.name)
-        assert bv == sv, f"{field.name} differs: {bv!r} != {sv!r}"
+    for field in dataclasses.fields(expected):
+        av = getattr(actual, field.name)
+        ev = getattr(expected, field.name)
+        assert av == ev, f"{field.name} differs: {av!r} != {ev!r}"
+
+
+def golden_cases(cases):
+    """Parametrize a test over ``(case_id, app_name, config)``."""
+    ids = case_ids(cases)
+    return pytest.mark.parametrize(
+        "case_id,app_name,config",
+        [(i, app, cfg) for i, (app, cfg) in zip(ids, cases)],
+        ids=ids,
+    )
+
+
+def assert_golden(fleet, case_id, config, *results):
+    """Every result equals the frozen scalar-engine run of the case."""
+    entry = golden()[fleet][case_id]
+    assert entry["config"] == config_dict(config), "fixture is stale"
+    for result in results:
+        assert canon(result) == entry["run"]
 
 
 EQUIVALENCE_CASES = [
@@ -105,19 +134,15 @@ EQUIVALENCE_CASES = [
 
 
 class TestExactEquivalence:
-    @pytest.mark.parametrize(
-        "app_name,config",
-        EQUIVALENCE_CASES,
-        ids=[f"{a}-{i}" for i, (a, _) in enumerate(EQUIVALENCE_CASES)],
-    )
-    def test_batch_matches_scalar(self, engine, app_name, config):
+    @golden_cases(EQUIVALENCE_CASES)
+    def test_batch_matches_scalar(self, engine, case_id, app_name, config):
         app = get_app(app_name)
-        scalar = engine.run(app, config)
         (batch,) = engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        assert_golden("exact", case_id, config, batch, engine.run(app, config))
 
     def test_full_candidate_set_in_one_call(self, engine):
-        """Many heterogeneous configs in one array program all match."""
+        """Many heterogeneous configs in one array program all match
+        their single-config runs."""
         app = get_app("sp-mz.C")
         configs = [cfg for _, cfg in EQUIVALENCE_CASES]
         batch = engine.evaluate_many(app, configs)
@@ -148,7 +173,8 @@ class TestExactEquivalence:
         engine = ExecutionEngine(cluster, seed=42)
         app = get_app("sp-mz.C")
         cfg = ExecutionConfig(n_nodes=8, n_threads=12, iterations=2)
-        assert_identical(engine.evaluate(app, cfg), engine.run(app, cfg))
+        for result in (engine.evaluate(app, cfg), engine.run(app, cfg)):
+            assert canon(result) == golden()["degraded"]
 
 
 #: Configs straddling the Haswell/Broadwell boundary of the mixed fleet
@@ -197,16 +223,12 @@ class TestMixedClusterEquivalence:
     def mixed_engine(self):
         return ExecutionEngine(SimulatedCluster.mixed_testbed(), seed=42)
 
-    @pytest.mark.parametrize(
-        "app_name,config",
-        MIXED_CASES,
-        ids=[f"{a}-{i}" for i, (a, _) in enumerate(MIXED_CASES)],
-    )
-    def test_batch_matches_scalar(self, mixed_engine, app_name, config):
+    @golden_cases(MIXED_CASES)
+    def test_batch_matches_scalar(self, mixed_engine, case_id, app_name, config):
         app = get_app(app_name)
-        scalar = mixed_engine.run(app, config)
         (batch,) = mixed_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        run = mixed_engine.run(app, config)
+        assert_golden("mixed", case_id, config, batch, run)
 
     def test_full_mixed_candidate_set_in_one_call(self, mixed_engine):
         app = get_app("sp-mz.C")
@@ -435,31 +457,23 @@ class TestGpuEquivalence:
 
         return ExecutionEngine(SimulatedCluster(mixed_gpu_testbed()), seed=42)
 
-    @pytest.mark.parametrize(
-        "app_name,config",
-        GPU_CASES,
-        ids=[f"{a}-{i}" for i, (a, _) in enumerate(GPU_CASES)],
-    )
+    @golden_cases(GPU_CASES)
     def test_batch_matches_scalar_on_gpu_fleet(
-        self, gpu_engine, app_name, config
+        self, gpu_engine, case_id, app_name, config
     ):
         app = get_app(app_name)
-        scalar = gpu_engine.run(app, config)
         (batch,) = gpu_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        run = gpu_engine.run(app, config)
+        assert_golden("gpu", case_id, config, batch, run)
 
-    @pytest.mark.parametrize(
-        "app_name,config",
-        MIXED_GPU_CASES,
-        ids=[f"{a}-{i}" for i, (a, _) in enumerate(MIXED_GPU_CASES)],
-    )
+    @golden_cases(MIXED_GPU_CASES)
     def test_batch_matches_scalar_on_mixed_gpu_fleet(
-        self, mixed_gpu_engine, app_name, config
+        self, mixed_gpu_engine, case_id, app_name, config
     ):
         app = get_app(app_name)
-        scalar = mixed_gpu_engine.run(app, config)
         (batch,) = mixed_gpu_engine.evaluate_many(app, [config])
-        assert_identical(batch, scalar)
+        run = mixed_gpu_engine.run(app, config)
+        assert_golden("mixed-gpu", case_id, config, batch, run)
 
     def test_full_gpu_candidate_set_in_one_call(self, gpu_engine):
         app = get_app("lulesh-gpu")
@@ -476,3 +490,41 @@ class TestGpuEquivalence:
         assert busy.nodes[0].avg_gpu_w > idle.nodes[0].avg_gpu_w
         assert busy.nodes[0].gpu_busy_fraction > 0.3
         assert idle.nodes[0].gpu_busy_fraction == 0.0
+
+
+class TestGoldenEngineRuns:
+    """``run`` against the frozen scalar engine: faults and failures."""
+
+    def test_fault_sequence_matches_golden(self):
+        """Drifted, dropped and partial cap writes shape the physics and
+        the accounting exactly as they did in the scalar engine."""
+        steps = fault_sequence()
+        frozen = golden()["faults"]
+        assert len(steps) == len(frozen)
+        for i, (step, expected) in enumerate(zip(steps, frozen)):
+            assert step["run"] == expected["run"], f"step {i}: RunResult"
+            for node_id, (got, want) in enumerate(
+                zip(step["nodes"], expected["nodes"])
+            ):
+                assert got == want, f"step {i}, node {node_id}"
+        # the script really exercises every fault kind
+        for kind in ("drifted", "dropped", "partial"):
+            assert sum(n["actuation_stats"][kind] for n in frozen[-1]["nodes"])
+
+    def test_failed_node_rejected_before_any_cap_write(self):
+        cluster = SimulatedCluster.testbed()
+        cluster.fail_node(2)
+        engine = ExecutionEngine(cluster, seed=42)
+        cfg = ExecutionConfig(
+            n_nodes=4, n_threads=8, pkg_cap_w=100.0, dram_cap_w=30.0,
+            iterations=2,
+        )
+        expected = golden()["failed_node"]
+        assert expected["error"] == NodeFailureError.__name__
+        with pytest.raises(NodeFailureError):
+            engine.run(get_app("comd"), cfg)
+        writes = sum(n.rapl.actuation_stats["writes"] for n in cluster.nodes)
+        assert writes == expected["writes"] == 0
+        assert all(n.meter.elapsed_s == 0.0 for n in cluster.nodes)
+        # evaluation answers the what-if regardless of availability
+        engine.evaluate(get_app("comd"), cfg)

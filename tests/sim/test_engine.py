@@ -164,6 +164,42 @@ class TestPowerBehaviour:
         assert f1 > f0
 
 
+class TestThrottleEvents:
+    """``throttle_events`` counts one event per throttled domain per run."""
+
+    def test_one_event_per_throttled_domain_per_run(self, engine, comd):
+        from repro.hw.rapl import Domain
+
+        rapl = engine.cluster.node(0).rapl
+        pkg, dram = rapl.domain(Domain.PKG), rapl.domain(Domain.DRAM)
+        # both caps below what the run needs (DRAM under its base power)
+        starved = ExecutionConfig(
+            n_nodes=1, n_threads=24, pkg_cap_w=65.0, dram_cap_w=5.0, iterations=2
+        )
+        op = engine.run(comd, starved).nodes[0].operating_point
+        assert op.cpu_throttled and op.mem_throttled
+        assert (pkg.throttle_events, dram.throttle_events) == (1, 1)
+        engine.run(comd, starved)
+        assert (pkg.throttle_events, dram.throttle_events) == (2, 2)
+        # an unthrottled run and a side-effect-free evaluation add none
+        free = ExecutionConfig(n_nodes=1, n_threads=2, iterations=2)
+        assert not engine.run(comd, free).nodes[0].operating_point.cpu_throttled
+        engine.evaluate(comd, starved)
+        assert (pkg.throttle_events, dram.throttle_events) == (2, 2)
+
+    def test_gpu_domain_counts_device_throttling(self):
+        from repro.hw.rapl import Domain
+        from repro.hw.specs import gpu_testbed
+
+        engine = ExecutionEngine(SimulatedCluster(gpu_testbed()), seed=42)
+        cfg = ExecutionConfig(n_nodes=2, n_threads=12, gpu_cap_w=60.0, iterations=2)
+        result = engine.run(get_app("minife-gpu"), cfg)
+        for rec in result.nodes:
+            assert rec.operating_point.gpu_throttled
+            gpu = engine.cluster.node(rec.node_id).rapl.domain(Domain.GPU)
+            assert gpu.throttle_events == 1
+
+
 class TestClusterSemantics:
     def test_slowest_node_paces_step(self, engine, comd):
         r = engine.run(comd, ExecutionConfig(n_nodes=8, n_threads=24, iterations=2))
