@@ -17,7 +17,8 @@ the repository root:
    byte-for-byte against ``tests/data/golden_decisions_testbeds.json``:
    observation history alone must never move a decision;
 4. **warm overhead** — per-decision cost of a converged learning-on
-   scheduler vs. a warm learning-off one on the same mix.
+   scheduler vs. a warm learning-off one on the same mix, timed in
+   alternating rounds and compared by median.
 
 Run standalone with ``python benchmarks/bench_learning.py`` or through
 ``benchmarks/test_perf_learning.py``, which gates the shrinking gap,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -55,8 +57,10 @@ BUDGETS_W = (1000.0, 1400.0, 1800.0)
 #: decisions, the acceptance floor).
 ROUNDS = 6
 ITERATIONS = 3
-#: Warm-path timing: passes over the grid per measured side.
-TIMING_PASSES = 20
+#: Warm-path timing: alternating off/on rounds, each of
+#: TIMING_PASSES grid passes per side (medians are reported).
+TIMING_ROUNDS = 10
+TIMING_PASSES = 2
 
 
 def _fresh_engine(cache: bool = False) -> ExecutionEngine:
@@ -142,7 +146,6 @@ def _time_passes(clip: ClipScheduler) -> float:
     """Warm per-decision wall time over TIMING_PASSES grid passes."""
     apps = {name: get_app(name) for name in APPS}
     combos = _combos()
-    clip.schedule(apps[combos[0][0]], combos[0][1])  # prime
     start = time.perf_counter()
     for _ in range(TIMING_PASSES):
         for name, budget in combos:
@@ -152,15 +155,29 @@ def _time_passes(clip: ClipScheduler) -> float:
 
 
 def _measure_overhead(campaign_clip: ClipScheduler) -> dict:
-    """Converged learning-on vs. warm learning-off decision cost."""
+    """Converged learning-on vs. warm learning-off decision cost.
+
+    The two sides alternate for :data:`TIMING_ROUNDS` rounds and each
+    reports its median, so a change in host CPU speed during the
+    measurement moves both sides instead of one.
+    """
     engine = _fresh_engine(cache=True)
     off = ClipScheduler(engine, inflection=build_trained_inflection(engine))
-    off_s = _time_passes(off)
-    on_s = _time_passes(campaign_clip)
+    for clip in (off, campaign_clip):  # prime
+        _time_passes(clip)
+    off_runs, on_runs = [], []
+    for _ in range(TIMING_ROUNDS):
+        off_runs.append(_time_passes(off))
+        on_runs.append(_time_passes(campaign_clip))
+    off_s = statistics.median(off_runs)
+    on_s = statistics.median(on_runs)
     return {
         "off_per_decision_s": off_s,
         "on_per_decision_s": on_s,
+        "off_runs_s": off_runs,
+        "on_runs_s": on_runs,
         "ratio": on_s / off_s if off_s > 0 else float("inf"),
+        "rounds": TIMING_ROUNDS,
         "passes": TIMING_PASSES,
     }
 

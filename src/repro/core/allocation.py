@@ -107,7 +107,6 @@ class ClusterAllocator:
         if self._rack_of is not None and len(self._rack_of) != n_total_nodes:
             raise SchedulingError("rack_of_slot must cover every node")
         self._rack_names = rack_names
-        self._range_cache: tuple[float, float] | None = None
 
     @property
     def power_model(self) -> ClipPowerModel:
@@ -124,11 +123,7 @@ class ClusterAllocator:
         — a node below the all-core floor can still contribute at
         reduced concurrency, CLIP's node-level lever.
         """
-        if self._range_cache is None:
-            n_threads = self._rec.unbounded_concurrency()
-            rng = self._rec.power_model.power_range(n_threads)
-            self._range_cache = (self._rec.min_floor_w(), rng.node_hi_w)
-        return self._range_cache
+        return self._rec.acceptable_range
 
     def candidate_node_counts(
         self, cluster_budget_w: float, predefined: tuple[int, ...] | None = None

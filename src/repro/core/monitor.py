@@ -112,6 +112,13 @@ class BudgetInvariantMonitor:
     """
 
     audits: list[CapAudit] = field(default_factory=list)
+    #: The failed audits, appended as they land (no ledger rescans).
+    _failed: list[CapAudit] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._failed = [a for a in self.audits if not a.ok]
 
     def audit(
         self,
@@ -176,6 +183,8 @@ class BudgetInvariantMonitor:
             violations=tuple(violations),
         )
         self.audits.append(audit)
+        if violations:
+            self._failed.append(audit)
         return audit
 
     def audit_split(
@@ -211,11 +220,11 @@ class BudgetInvariantMonitor:
     @property
     def n_violations(self) -> int:
         """Number of recorded cap sets that broke an invariant."""
-        return sum(1 for a in self.audits if not a.ok)
+        return len(self._failed)
 
     def violations(self) -> list[CapAudit]:
         """The failed audits, in issue order."""
-        return [a for a in self.audits if not a.ok]
+        return list(self._failed)
 
     def assert_clean(self) -> None:
         """Raise :class:`BudgetInvariantError` if any audit failed."""
@@ -230,6 +239,7 @@ class BudgetInvariantMonitor:
     def reset(self) -> None:
         """Clear the audit trail (between independent scenarios)."""
         self.audits.clear()
+        self._failed.clear()
 
     def report(self) -> dict:
         """JSON-safe summary: counts per source plus any violations."""

@@ -212,6 +212,11 @@ class PerformancePredictor:
                 self._log_scalable = max(s12, 0.0)
                 self._log_flat = max(half.t_iter_s - self._log_scalable, 0.0)
                 self._log_n_ref = half.n_threads
+        # the learned correction factor per thread count (None: identity)
+        self._scales = None if self._calibration is None else tuple(
+            self._calibration.scale_for(n, self._np)
+            for n in range(self._n_cores + 1)
+        )
 
     # ------------------------------------------------------------------
 
@@ -294,9 +299,9 @@ class PerformancePredictor:
 
     def _calibrated(self, t: float, n_threads: int) -> float:
         """Apply the learned per-segment correction (identity when unset)."""
-        if self._calibration is None:
+        if self._scales is None:
             return t
-        return max(t * self._calibration.scale_for(n_threads, self._np), 1e-9)
+        return max(t * self._scales[n_threads], 1e-9)
 
     def _with_device(self, t_host: float, gpu_clock_hz: float | None) -> float:
         """Re-evaluate the device roofline at a candidate clock.

@@ -96,10 +96,10 @@ class ModelBundle:
     """The fitted model triple for one knowledge-DB entry.
 
     Everything a decision needs beyond the budget: the performance
-    predictor (Eq. 1–3), the power model (Eq. 4–9), and the
-    recommendation engine combining them.  Bundles are immutable and
-    deterministic functions of ``(entry, node_spec)``, which is what
-    makes caching them sound.
+    predictor (Eq. 1–3), the power model (Eq. 4–9) with its per-thread
+    concurrency table, and the recommendation engine combining them.
+    Bundles are immutable and deterministic functions of ``(entry,
+    node_spec)``, which is what makes caching them sound.
     """
 
     entry: KnowledgeEntry
@@ -650,11 +650,11 @@ class AllocateStage:
     ) -> tuple[tuple[float, float], ...] | None:
         if self._node_specs is None:
             return None
-        by_spec: dict[NodeSpec, tuple[float, float]] = {}
-        for spec in dict.fromkeys(self._node_specs):
-            rec = self._cache.get_or_build(ctx.entry, spec).recommender
-            rng = rec.power_model.power_range(rec.unbounded_concurrency())
-            by_spec[spec] = (rec.min_floor_w(), rng.node_hi_w)
+        by_spec = {
+            spec: self._cache.get_or_build(ctx.entry, spec)
+            .recommender.acceptable_range
+            for spec in dict.fromkeys(self._node_specs)
+        }
         return tuple(by_spec[s] for s in self._node_specs)
 
     def run(self, ctx: DecisionContext) -> DecisionContext:
@@ -736,16 +736,17 @@ class RecommendStage:
                         budget, base.n_threads
                     )
                     f = power_model.max_freq_under(pkg, base.n_threads)
-                    cfg = replace(
-                        base,
+                    # the device fields stay at their zero defaults: this
+                    # rank has no device, whatever class slot 0 is
+                    cfg = NodeConfig(
+                        n_threads=base.n_threads,
+                        affinity=base.affinity,
                         pkg_cap_w=pkg,
                         dram_cap_w=dram,
                         predicted_frequency_hz=(
                             f if f is not None else base.predicted_frequency_hz
                         ),
-                        # this rank has no device, whatever class slot 0 is
-                        gpu_cap_w=0.0,
-                        predicted_gpu_clock_hz=0.0,
+                        predicted_perf=base.predicted_perf,
                     )
                 split_memo[key] = cfg
             configs.append(cfg)
@@ -1200,31 +1201,25 @@ class DecisionPipeline:
     ) -> None:
         """Audit the issued cap set; record the enforcement event.
 
-        The floor/ceiling come from the power model at the decision's
-        actual concurrency (the allocator may have reasoned at another
-        one), with the DRAM cap margin folded into the ceiling — see
-        :meth:`~repro.core.powermodel.ClipPowerModel.cap_ceiling_w`.
+        The floor/ceiling come from the power model's row at the
+        decision's actual concurrency (the allocator may have reasoned
+        at another one), with the DRAM cap margin folded into the
+        ceiling — see :class:`~repro.core.powermodel.ConcurrencyRow`.
         """
         decision = ctx.decision
         if not self._hetero:
-            power = ctx.bundle.power_model
-            rng = power.power_range(decision.n_threads)
-            lo_bound: float | tuple = rng.node_lo_w
-            hi_bound: float | tuple = power.cap_ceiling_w(decision.n_threads)
+            row = ctx.bundle.power_model.row(decision.n_threads)
+            lo_bound: float | tuple = row.node_lo_w
+            hi_bound: float | tuple = row.cap_ceiling_w
         else:
             # per-rank bounds from each slot's own class power model
-            models = [
-                self._bundles.get_or_build(
-                    ctx.entry, self._node_specs[r]
-                ).power_model
+            rows = [
+                self._bundles.get_or_build(ctx.entry, self._node_specs[r])
+                .power_model.row(decision.n_threads)
                 for r in range(decision.n_nodes)
             ]
-            lo_bound = tuple(
-                m.power_range(decision.n_threads).node_lo_w for m in models
-            )
-            hi_bound = tuple(
-                m.cap_ceiling_w(decision.n_threads) for m in models
-            )
+            lo_bound = tuple(row.node_lo_w for row in rows)
+            hi_bound = tuple(row.cap_ceiling_w for row in rows)
         start = time.perf_counter()
         audit = self._monitor.audit(
             "pipeline",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.classify import ScalabilityClass
 from repro.core.perfmodel import PerformancePredictor
-from repro.core.powermodel import ClipPowerModel
+from repro.core.powermodel import ClipPowerModel, ConcurrencyRow
 from repro.core.profile import AppProfile
 from repro.errors import InfeasibleBudgetError
 from repro.hw.numa import AffinityKind
@@ -59,7 +59,11 @@ class NodeConfig:
 
 
 class Recommender:
-    """Decision engine for one profiled application."""
+    """Decision engine for one profiled application.
+
+    Everything budget-independent (candidate rows, acceptable range,
+    phase overrides) is computed once, at construction.
+    """
 
     def __init__(
         self,
@@ -70,6 +74,25 @@ class Recommender:
         self._profile = profile
         self._predictor = predictor
         self._power = power_model
+        # Candidate rows largest first: prediction *ties* resolve toward
+        # more parallelism, and linear apps get the paper's rule — full
+        # concurrency unless power forces less (§II).
+        self._rows = tuple(
+            power_model.row(n)
+            for n in sorted(predictor.candidate_concurrencies(), reverse=True)
+        )
+        # Unbounded concurrency: linear and logarithmic apps use every
+        # core; parabolic apps stop at the inflection point.
+        np_ = predictor.inflection_point
+        parabolic = predictor.scalability_class is ScalabilityClass.PARABOLIC
+        self._unbounded = np_ if parabolic and np_ is not None else profile.n_cores
+        # The floor is the cheapest *candidate* concurrency: a budget
+        # too small for all cores may still feed fewer (CLIP's lever).
+        self._acceptable = (
+            min(row.node_lo_w for row in self._rows),
+            power_model.power_range(self._unbounded).node_hi_w,
+        )
+        self._overrides = self._stagnant_phases()
 
     @property
     def profile(self) -> AppProfile:
@@ -88,29 +111,18 @@ class Recommender:
 
     # ------------------------------------------------------------------
 
-    def min_floor_w(self) -> float:
-        """Lowest acceptable node power over the candidate concurrencies.
+    @property
+    def acceptable_range(self) -> tuple[float, float]:
+        """``(min_floor_w, node_hi_w at the unbounded concurrency)``."""
+        return self._acceptable
 
-        The cluster allocator uses this as the true per-node floor: a
-        budget that cannot feed all-core execution may still feed a
-        reduced concurrency, which is exactly CLIP's lever.
-        """
-        return min(
-            self._power.power_range(n).node_lo_w for n in self._candidates()
-        )
+    def min_floor_w(self) -> float:
+        """Lowest acceptable node power over the candidate concurrencies."""
+        return self._acceptable[0]
 
     def unbounded_concurrency(self) -> int:
-        """Concurrency with sufficient power, by class rule.
-
-        Linear and logarithmic applications use every core (their
-        performance still rises, if slowly, toward full concurrency);
-        parabolic applications stop at the inflection point.
-        """
-        cls = self._predictor.scalability_class
-        np_ = self._predictor.inflection_point
-        if cls is ScalabilityClass.PARABOLIC and np_ is not None:
-            return np_
-        return self._profile.n_cores
+        """Concurrency with sufficient power, by class rule."""
+        return self._unbounded
 
     def recommend(self, node_budget_w: float) -> NodeConfig:
         """Best configuration for one node under a capped-power budget.
@@ -125,19 +137,21 @@ class Recommender:
         if self._predictor.scalability_class is ScalabilityClass.GPU_OFFLOAD:
             return self._recommend_gpu(node_budget_w)
         linear = self._predictor.scalability_class is ScalabilityClass.LINEAR
-        # Host-only app on a GPU node: the board idles, but the idle
-        # draw is real and the cap must admit it.  0.0 on CPU nodes.
-        gpu_grant = self._power.gpu_power_range()[0]
+        power = self._power
+        predict_perf = self._predictor.predict_perf
         best: NodeConfig | None = None
-        for n in self._candidates():
-            try:
-                pkg, dram = self._power.split_node_budget(node_budget_w, n)
-            except InfeasibleBudgetError:
+        for row in self._rows:
+            if node_budget_w < row.node_lo_w:
                 continue
-            f = self._power.max_freq_under(pkg, n)
+            # Host-only app on a GPU node: the board idles, but the idle
+            # draw is real and the cap must admit it.  0.0 on CPU nodes.
+            gpu_grant = row.range.gpu_lo_w
+            pkg, dram = power.split_at(row, node_budget_w - gpu_grant)
+            f = power.freq_at(row, pkg)
             if f is None:
                 continue
-            perf = self._predictor.predict_perf(n, f)
+            n = row.n_threads
+            perf = predict_perf(n, f)
             if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
                 best = NodeConfig(
                     n_threads=n,
@@ -148,7 +162,7 @@ class Recommender:
                     predicted_perf=perf,
                     gpu_cap_w=gpu_grant,
                 )
-            if linear and best is not None:
+            if linear:
                 # "we do not consider decreasing the concurrency unless
                 # the power budget is lower than the lower bound" (§II):
                 # take the largest feasible count, no what-if scoring.
@@ -164,50 +178,56 @@ class Recommender:
         """Best configuration with the host↔device shift (EcoShift).
 
         At each candidate concurrency (largest first, like the linear
-        rule — host threads only serve the non-offloaded share), every
-        device cap ladder level that leaves the host domains feasible
-        is scored: the device term speeds up with its clock while the
-        host remainder buys frequency, and the predicted-time roofline
-        between them picks the balance point.  The first concurrency
-        with any feasible split wins, mirroring "do not decrease
-        concurrency unless power forces it".
+        rule — host threads only serve the non-offloaded share) the
+        device ladder is searched by :meth:`_gpu_split`.  The first
+        concurrency with any feasible split wins, mirroring "do not
+        decrease concurrency unless power forces it".
         """
-        lo, hi = self._power.gpu_power_range()
+        for row in self._rows:
+            best = self._gpu_split(node_budget_w, row)
+            if best is not None:
+                return best
+        raise InfeasibleBudgetError(
+            f"no feasible GPU-offload configuration for node budget "
+            f"{node_budget_w:.1f} W ({self._profile.app_name})"
+        )
+
+    def _gpu_split(
+        self, node_budget_w: float, row: ConcurrencyRow
+    ) -> NodeConfig | None:
+        """Best host↔device split at one row, or ``None`` if none fits.
+
+        Every device cap ladder level that leaves the host domains
+        feasible is scored: the device term speeds up with its clock
+        while the host remainder buys frequency, and the predicted-time
+        roofline between them picks the balance point.
+        """
+        power = self._power
+        lo, hi = power.gpu_power_range()
+        n = row.n_threads
         best: NodeConfig | None = None
-        for n in self._candidates():
-            feasible = False
-            for gpu_cap, clk in self._power.gpu_shift_candidates(
-                lo, min(hi, node_budget_w)
-            ):
-                try:
-                    pkg, dram, gpu = self._power.split_node_budget_gpu(
-                        node_budget_w, n, gpu_cap
-                    )
-                except InfeasibleBudgetError:
-                    continue
-                f = self._power.max_freq_under(pkg, n)
-                if f is None:
-                    continue
-                feasible = True
-                perf = self._predictor.predict_perf(n, f, gpu_clock_hz=clk)
-                if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
-                    best = NodeConfig(
-                        n_threads=n,
-                        affinity=self._profile.affinity,
-                        pkg_cap_w=pkg,
-                        dram_cap_w=dram,
-                        predicted_frequency_hz=f,
-                        predicted_perf=perf,
-                        gpu_cap_w=gpu,
-                        predicted_gpu_clock_hz=clk,
-                    )
-            if feasible:
-                break
-        if best is None:
-            raise InfeasibleBudgetError(
-                f"no feasible GPU-offload configuration for node budget "
-                f"{node_budget_w:.1f} W ({self._profile.app_name})"
-            )
+        for gpu_cap, clk in power.gpu_shift_candidates(
+            lo, min(hi, node_budget_w)
+        ):
+            host = node_budget_w - gpu_cap
+            if host < row.host_lo_w:
+                continue
+            pkg, dram = power.split_at(row, host)
+            f = power.freq_at(row, pkg)
+            if f is None:
+                continue
+            perf = self._predictor.predict_perf(n, f, gpu_clock_hz=clk)
+            if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
+                best = NodeConfig(
+                    n_threads=n,
+                    affinity=self._profile.affinity,
+                    pkg_cap_w=pkg,
+                    dram_cap_w=dram,
+                    predicted_frequency_hz=f,
+                    predicted_perf=perf,
+                    gpu_cap_w=float(gpu_cap),
+                    predicted_gpu_clock_hz=clk,
+                )
         return best
 
     def config_at(self, node_budget_w: float, base: NodeConfig) -> NodeConfig:
@@ -220,12 +240,12 @@ class Recommender:
         do not call this (their split stays on the legacy path).
         """
         n = base.n_threads
-        lo, hi = self._power.gpu_power_range()
-        if not self._power.gpu_offloaded:
-            pkg, dram, gpu = self._power.split_node_budget_gpu(
-                node_budget_w, n, lo
+        power = self._power
+        if not power.gpu_offloaded:
+            pkg, dram, gpu = power.split_node_budget_gpu(
+                node_budget_w, n, power.gpu_power_range()[0]
             )
-            f = self._power.max_freq_under(pkg, n)
+            f = power.max_freq_under(pkg, n)
             return replace(
                 base,
                 pkg_cap_w=pkg,
@@ -235,30 +255,7 @@ class Recommender:
                     f if f is not None else base.predicted_frequency_hz
                 ),
             )
-        best: NodeConfig | None = None
-        for gpu_cap, clk in self._power.gpu_shift_candidates(
-            lo, min(hi, node_budget_w)
-        ):
-            try:
-                pkg, dram, gpu = self._power.split_node_budget_gpu(
-                    node_budget_w, n, gpu_cap
-                )
-            except InfeasibleBudgetError:
-                continue
-            f = self._power.max_freq_under(pkg, n)
-            if f is None:
-                continue
-            perf = self._predictor.predict_perf(n, f, gpu_clock_hz=clk)
-            if best is None or perf > best.predicted_perf * (1.0 + 1e-9):
-                best = replace(
-                    base,
-                    pkg_cap_w=pkg,
-                    dram_cap_w=dram,
-                    gpu_cap_w=gpu,
-                    predicted_frequency_hz=f,
-                    predicted_perf=perf,
-                    predicted_gpu_clock_hz=clk,
-                )
+        best = self._gpu_split(node_budget_w, power.row(n))
         if best is None:
             raise InfeasibleBudgetError(
                 f"no feasible GPU cap split for node budget "
@@ -268,14 +265,17 @@ class Recommender:
         return best
 
     def phase_overrides(self) -> dict[str, int]:
-        """Per-phase concurrency overrides for stagnant phases (§V-B.1).
+        """Per-phase concurrency overrides for stagnant phases (§V-B.1)."""
+        return dict(self._overrides)
 
-        Compares each instrumented phase's time between the half-core
-        and all-core samples: a phase that got *no faster* with twice
-        the threads is limited-concurrency (the BT-MZ ``exch_qbc``
-        case), and running it with the half-core count avoids the
-        oversubscription cost.  Phases that did speed up are left to
-        the global concurrency choice.
+    def _stagnant_phases(self) -> dict[str, int]:
+        """Compare each instrumented phase between the profiling samples.
+
+        A phase that got *no faster* with twice the threads (half-core
+        vs. all-core sample) is limited-concurrency (the BT-MZ
+        ``exch_qbc`` case), and running it with the half-core count
+        avoids the oversubscription cost.  Phases that did speed up are
+        left to the global concurrency choice.
         """
         half, all_ = self._profile.half_run, self._profile.all_run
         half_times = dict(half.phase_times)
@@ -289,16 +289,3 @@ class Recommender:
             if t_all >= t_half * 0.98:
                 overrides[name] = half.n_threads
         return overrides
-
-    def _candidates(self) -> tuple[int, ...]:
-        """Candidate thread counts, largest first.
-
-        Descending order makes prediction *ties* resolve toward more
-        parallelism (a flat prediction must not collapse to two
-        threads), and for linear applications it realizes the paper's
-        rule directly: full concurrency first, smaller counts only as a
-        power fallback ("we do not consider decreasing the concurrency
-        unless the power budget is lower than the lower bound", §II).
-        """
-        cands = self._predictor.candidate_concurrencies()
-        return tuple(sorted(cands, reverse=True))

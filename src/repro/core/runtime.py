@@ -120,9 +120,8 @@ def _split_caps(power, budget_w: float, n_threads: int) -> tuple[float, ...]:
     lo_w, hi_w = power.gpu_power_range()
     if hi_w <= 0.0:
         return power.split_node_budget(budget_w, n_threads)
-    rng = power.power_range(n_threads)
     grant_w = lo_w
-    window_hi_w = budget_w - (rng.cpu_lo_w + rng.mem_lo_w)
+    window_hi_w = budget_w - power.row(n_threads).host_lo_w
     for cap_w, _clock_hz in power.gpu_shift_candidates(lo_w, window_hi_w):
         grant_w = max(grant_w, cap_w)
     return power.split_node_budget_gpu(budget_w, n_threads, grant_w)

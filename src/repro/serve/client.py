@@ -6,16 +6,37 @@ connection per worker thread, many submissions each).  High-level
 methods raise :class:`~repro.errors.ServeError` (carrying the HTTP
 status) on error responses; :meth:`ServeClient.request` returns the
 raw ``(status, payload)`` pair for callers probing rejection paths.
+
+Connections set ``TCP_NODELAY``.  :mod:`http.client` sends a POST's
+headers and body in two ``send()`` calls; with Nagle's algorithm on,
+the body can wait for the server's ACK of the headers, which a
+delayed-ACK server holds (~40 ms) hoping to piggyback it on a response
+it cannot write before the body arrives.  A submission would then
+stall for tens of milliseconds while the decision takes a few.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 from repro.errors import ServeError
 
 __all__ = ["ServeClient"]
+
+
+class _NoDelayConnection(http.client.HTTPConnection):
+    """An :class:`http.client.HTTPConnection` with Nagle's algorithm off.
+
+    Set in :meth:`connect`, which the request path calls lazily, so a
+    failed connect still raises inside :meth:`ServeClient.request`'s
+    retry-once handler.
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class ServeClient:
@@ -43,7 +64,7 @@ class ServeClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
+            self._conn = _NoDelayConnection(
                 self._host, self._port, timeout=self._timeout
             )
         return self._conn
@@ -161,7 +182,7 @@ class ServeClient:
         Uses its own short-lived connection: the stream ends with
         ``Connection: close``, which would poison the keep-alive one.
         """
-        conn = http.client.HTTPConnection(
+        conn = _NoDelayConnection(
             self._host, self._port, timeout=self._timeout
         )
         try:

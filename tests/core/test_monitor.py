@@ -86,6 +86,40 @@ class TestLedger:
         assert payload["violations"][0]["source"] == "runtime"
 
 
+class TestViolationCount:
+    """The violation count is kept as audits land, not recounted."""
+
+    def _counts_match_ledger(self, monitor):
+        failed = [a for a in monitor.audits if not a.ok]
+        assert monitor.n_violations == len(failed)
+        assert monitor.violations() == failed
+
+    def test_counts_track_violations_and_reset(self, monitor):
+        for budget in (400.0, 300.0, 400.0, 200.0, 500.0):
+            monitor.audit(
+                "test", "app", budget, ((150.0, 40.0), (150.0, 40.0))
+            )
+            self._counts_match_ledger(monitor)
+        assert monitor.n_violations == 2
+        # the returned list is a copy: mutating it changes nothing
+        monitor.violations().clear()
+        assert monitor.n_violations == 2
+        monitor.reset()
+        assert monitor.n_audits == 0
+        self._counts_match_ledger(monitor)
+        monitor.audit("test", "app", 100.0, ((150.0, 40.0),))
+        assert monitor.n_violations == 1
+        self._counts_match_ledger(monitor)
+
+    def test_prefilled_ledger_is_counted(self, monitor):
+        monitor.audit("test", "app", 100.0, ((150.0, 40.0),))
+        monitor.audit("test", "app", 400.0, ((150.0, 40.0),))
+        copy = BudgetInvariantMonitor(audits=list(monitor.audits))
+        assert copy.n_violations == 1
+        assert copy == monitor
+        self._counts_match_ledger(copy)
+
+
 class TestPipelineWiring:
     def test_every_decision_is_audited(self, engine, trained_inflection):
         from repro.core.scheduler import ClipScheduler

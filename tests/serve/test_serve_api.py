@@ -11,6 +11,7 @@ smoke path the CI workflow exercises.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -208,6 +209,25 @@ class TestErrorCodec:
         with pytest.raises(ServeError) as err:
             client.submit("no-such-app")
         assert err.value.status == 400
+
+
+class TestClientConnection:
+    def test_connections_disable_nagle(self, client):
+        # a POST's headers and body go out in two writes; with Nagle on
+        # the body waits out the server's delayed ACK
+        client.health()
+        sock = client._conn.sock
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_failed_connect_goes_through_the_retry(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # nothing listens there any more: both attempts are refused
+        with ServeClient("127.0.0.1", port, timeout=2.0) as dead:
+            with pytest.raises(ConnectionError):
+                dead.health()
+            assert dead._conn is None
 
 
 class TestOutcomeReporting:
