@@ -22,12 +22,17 @@ Run from the repo root:
     PYTHONPATH=src python tests/data/capture_golden_decisions_exact.py
 
 Re-run (and review the diff consciously) only when a deliberate
-behaviour change moves the decisions.
+behaviour change moves the decisions.  ``--diff`` replays without
+writing and prints every moved key with its field-level old -> new
+values (exit 1 when anything moved):
+
+    PYTHONPATH=src python tests/data/capture_golden_decisions_exact.py --diff
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,6 +230,72 @@ def capture() -> dict:
     return payload
 
 
+def _fields(value, path: str = ""):
+    """``(field path, leaf value)`` pairs of one captured value.
+
+    Serialized decisions are decoded and runtime steps keyed by their
+    label, so a moved cap reads as ``runtime/<label>.caps[1][0]``.
+    """
+    if isinstance(value, str) and value.startswith("{"):
+        value = json.loads(value)
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _fields(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _step(step: list) -> dict:
+    """One runtime step as named fields."""
+    if len(step) == 2:
+        return {"error": step[1]}
+    return dict(zip(("n_threads", "caps", "parked"), step[1:]))
+
+
+def _keyed(payload: dict) -> dict:
+    """Flatten a capture to ``{key: value}`` with one key per decision,
+    burst, runtime step and learning step."""
+    out = {}
+    for testbed, entries in payload.items():
+        if testbed == "learning":
+            for i, step in enumerate(entries):
+                out[f"learning[{i}]"] = step
+            continue
+        for key, value in entries.items():
+            if key == "runtime":
+                for step in value:
+                    out[f"{testbed}/runtime/{step[0]}"] = _step(step)
+            else:
+                out[f"{testbed}/{key}"] = value
+    return out
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """Report lines for every key whose value moved between captures."""
+    old_k, new_k = _keyed(old), _keyed(new)
+    lines = []
+    for key in sorted(set(old_k) | set(new_k)):
+        before, after = old_k.get(key), new_k.get(key)
+        if before == after:
+            continue
+        lines.append(key)
+        old_f, new_f = dict(_fields(before)), dict(_fields(after))
+        for name in sorted(set(old_f) | set(new_f)):
+            a = old_f.get(name, "(absent)")
+            b = new_f.get(name, "(absent)")
+            if a != b:
+                lines.append(f"  {name or '(value)'}: {a!r} -> {b!r}")
+    return lines
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        current = json.loads(json.dumps(capture()))  # tuples -> lists
+        moved = diff(json.loads(OUT.read_text()), current)
+        print("\n".join(moved) if moved else "no keys moved")
+        sys.exit(1 if moved else 0)
     OUT.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
