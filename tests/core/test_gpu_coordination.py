@@ -216,3 +216,26 @@ class TestCpuGoldenBitIdentity:
             (DATA_DIR / "golden_decisions_testbeds.json").read_text()
         )
         assert cg.capture() == stored
+
+
+class TestEmergencyThrottleOnGpuClass:
+    """The watchdog's last rung lands on accelerator nodes too.
+
+    The throttle budget is the job's summed floors; split back over
+    the nodes, ``total / n`` can round an ulp under each node's floor,
+    and the GPU split refuses a host remainder below the host floor.
+    Every share must land exactly inside its node's range.
+    """
+
+    def test_throttle_lands_with_a_clean_audit(self):
+        from repro.core.runtime import PowerBoundedRuntime
+
+        clip = scheduler("gpu")
+        runtime = PowerBoundedRuntime(clip)
+        job = runtime.launch(get_app("sp-mz.C"), 1400.0, n_nodes=3, n_threads=14)
+        runtime.emergency_throttle(job)
+        audit = clip.monitor.audits[-1]
+        assert audit.source == "watchdog.emergency"
+        assert audit.ok, audit.violations
+        assert len(job.per_node_caps) == 3
+        assert all(len(cap) == 3 for cap in job.per_node_caps)

@@ -214,7 +214,23 @@ class TestHeterogeneousCoordinationProperties:
             lo_w=np.full(n, 120.0),
             hi_w=np.full(n, 280.0),
         )
-        np.testing.assert_allclose(arrays, scalar, rtol=1e-9, atol=1e-9)
+        # one code path: scalar bounds broadcast, so the splits agree
+        # bit for bit
+        np.testing.assert_array_equal(arrays, scalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        lo=st.floats(min_value=20.0, max_value=400.0),
+    )
+    def test_summed_floors_never_split_below_the_floor(self, n, lo):
+        """A budget of exactly the summed floors (the emergency
+        throttle's) gives every node at least its floor, exactly:
+        ``total / n`` may round an ulp under ``lo`` and must be clipped."""
+        budgets = coordinate_power(
+            float(sum([lo] * n)), np.ones(n), lo_w=lo, hi_w=lo + 200.0
+        )
+        assert np.all(budgets >= lo), (budgets.min(), lo)
 
 
 class TestExecutionProperties:
