@@ -77,7 +77,7 @@ class OracleScheduler(PowerBoundedScheduler):
         thread_step: int = 2,
     ):
         super().__init__(engine)
-        classes = list(dict.fromkeys(engine.cluster.spec.node_specs))
+        classes = engine.cluster.spec.node_classes
         if dram_grid_w is None:
             # every grid point must be honorable on every class: floor
             # at the highest class floor, ceiling at the lowest class max
@@ -138,36 +138,23 @@ class OracleScheduler(PowerBoundedScheduler):
     ) -> ExecutionConfig:
         """Exhaustively search and return the best budget-respecting config."""
         cluster = self.engine.cluster
-        homogeneous = cluster.spec.is_homogeneous
+        spec = cluster.spec
         # Eq. 4-9 floor: per-thread leakage on top of the package and
-        # DRAM base powers, scaled by each node's variability factor.
-        if homogeneous:
-            node = cluster.spec.node_specs[0]
-            static_base = (
-                node.n_sockets * node.socket.p_base_w
-                + node.n_sockets * node.socket.memory.p_base_w
-            )
-            p_leak = node.socket.core.p_leak_w
-            eff_prefix = list(accumulate(n.efficiency for n in cluster.nodes))
-        else:
-            # mixed cluster: each slot contributes its own class's base
-            # and leakage terms, so the floor splits into two prefixes
-            static_prefix = list(
-                accumulate(
-                    (
-                        n.spec.n_sockets * n.spec.socket.p_base_w
-                        + n.spec.n_sockets * n.spec.socket.memory.p_base_w
-                    )
-                    * n.efficiency
-                    for n in cluster.nodes
-                )
-            )
-            leak_prefix = list(
-                accumulate(
-                    n.spec.socket.core.p_leak_w * n.efficiency
-                    for n in cluster.nodes
-                )
-            )
+        # DRAM base powers, scaled by each node's variability factor —
+        # per class, weighted by that class's efficiencies among the
+        # first n slots (eff_prefix[n - 1][k])
+        classes = spec.node_classes
+        static_base = [
+            s.n_sockets * s.socket.p_base_w
+            + s.n_sockets * s.socket.memory.p_base_w
+            for s in classes
+        ]
+        p_leak = [s.socket.core.p_leak_w for s in classes]
+        eff = np.array([n.efficiency for n in cluster.nodes])
+        in_class = np.asarray(spec.class_of_slot)[:, None] == np.arange(
+            len(classes)
+        )
+        eff_prefix = np.cumsum(eff[:, None] * in_class, axis=0).tolist()
 
         candidates: list[ExecutionConfig] = []
         total = 0
@@ -180,15 +167,12 @@ class OracleScheduler(PowerBoundedScheduler):
                     continue
                 for n_threads in self._thread_grid:
                     total += len(AffinityKind)
-                    if homogeneous:
-                        floor = (static_base + n_threads * p_leak) * eff_prefix[
-                            n_nodes - 1
-                        ]
-                    else:
-                        floor = (
-                            static_prefix[n_nodes - 1]
-                            + n_threads * leak_prefix[n_nodes - 1]
+                    floor = sum(
+                        (base + n_threads * leak) * e
+                        for base, leak, e in zip(
+                            static_base, p_leak, eff_prefix[n_nodes - 1]
                         )
+                    )
                     if floor > cluster_budget_w * BUDGET_TOLERANCE * _PRUNE_MARGIN:
                         pruned += len(AffinityKind)
                         continue

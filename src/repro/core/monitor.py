@@ -28,34 +28,36 @@ __all__ = ["CapAudit", "BudgetInvariantMonitor"]
 AUDIT_TOLERANCE_W = 1e-6
 
 
-def _per_rank_bounds(bound, n_ranks: int) -> list[float] | None:
-    """Normalize a scalar-or-sequence bound to one float per rank."""
-    if bound is None:
-        return None
-    if isinstance(bound, (int, float)):
-        return [float(bound)] * n_ranks
-    seq = [float(b) for b in bound]
+def _bound_field(bound, n_ranks: int):
+    """The bound as stored on :class:`CapAudit`: one float when every
+    rank shares it, a per-rank tuple otherwise."""
+    if bound is None or isinstance(bound, (int, float)):
+        return bound if bound is None else float(bound)
+    seq = tuple(map(float, bound))
     if len(seq) != n_ranks:
         raise ValueError(
             f"per-rank bounds cover {len(seq)} ranks, cap set has {n_ranks}"
         )
+    if seq and seq.count(seq[0]) == n_ranks:
+        return seq[0]
     return seq
 
 
-def _bound_field(bound):
-    """The bound as stored on :class:`CapAudit` (scalar or tuple)."""
-    if bound is None or isinstance(bound, (int, float)):
-        return bound if bound is None else float(bound)
-    return tuple(float(b) for b in bound)
+def _per_rank_bounds(bound, n_ranks: int):
+    """One bound per rank from a stored :func:`_bound_field` value."""
+    if bound is None or isinstance(bound, tuple):
+        return bound
+    return (bound,) * n_ranks
 
 
 @dataclass(frozen=True)
 class CapAudit:
     """One audited cap set: who issued what against which budget.
 
-    ``node_lo_w`` / ``node_hi_w`` are floats when every rank shares one
-    acceptable range (homogeneous cluster) and per-rank tuples when
-    each slot carries its own (heterogeneous cluster).
+    ``node_lo_w`` / ``node_hi_w`` hold one float when every rank shares
+    the bound and a per-rank tuple otherwise (ranks of different node
+    classes), which keeps the audit ledger small on large one-class
+    fleets.
     """
 
     source: str
@@ -138,12 +140,13 @@ class BudgetInvariantMonitor:
         node_hi_w]``.  Each node's tuple carries one entry per capped
         domain — ``(pkg, dram)`` on CPU nodes, ``(pkg, dram, gpu)`` on
         accelerator nodes — and a set may mix lengths on a mixed
-        fleet.  Bounds may be scalars (one range for all ranks) or
-        per-rank sequences aligned with *caps* — the
-        heterogeneous-cluster form, where each slot's class has its
-        own range.  Range checks use a relative tolerance on top of
+        fleet.  Bounds are per-rank sequences aligned with *caps* —
+        each slot's class has its own range — or one scalar for every
+        rank.  Range checks use a relative tolerance on top of
         *tolerance_w* so legitimate float round-off never flags.
         """
+        node_lo_w = _bound_field(node_lo_w, len(caps))
+        node_hi_w = _bound_field(node_hi_w, len(caps))
         lo_seq = _per_rank_bounds(node_lo_w, len(caps))
         hi_seq = _per_rank_bounds(node_hi_w, len(caps))
         violations: list[str] = []
@@ -178,8 +181,8 @@ class BudgetInvariantMonitor:
             app_name=app_name,
             cluster_budget_w=cluster_budget_w,
             caps=tuple(tuple(float(c) for c in cap) for cap in caps),
-            node_lo_w=_bound_field(node_lo_w),
-            node_hi_w=_bound_field(node_hi_w),
+            node_lo_w=node_lo_w,
+            node_hi_w=node_hi_w,
             violations=tuple(violations),
         )
         self.audits.append(audit)

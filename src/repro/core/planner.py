@@ -60,22 +60,14 @@ class BudgetPlanner:
         """Budget beyond which predictions stop improving.
 
         Every node at the application's acceptable ceiling — the
-        saturation point of the whole curve.  On a heterogeneous
-        cluster each slot contributes its own class's ceiling.
+        saturation point of the whole curve.  Each slot contributes its
+        own class's ceiling.
         """
-        pipeline = self._scheduler.pipeline
-        rec = pipeline.bundle_for(app).recommender
-        n = rec.unbounded_concurrency()
-        spec = self._scheduler.engine.cluster.spec
-        if spec.is_homogeneous:
-            hi = rec.power_model.power_range(n).node_hi_w
-            return hi * self._scheduler.engine.cluster.n_nodes
-        entry = pipeline.ensure_knowledge(app)
-        by_spec = {
-            s: pipeline.class_bundle(entry, s).power_model.power_range(n).node_hi_w
-            for s in dict.fromkeys(spec.node_specs)
-        }
-        return float(sum(by_spec[s] for s in spec.node_specs))
+        bundles = self._scheduler.pipeline.class_bundles(app)
+        n = bundles[0].recommender.unbounded_concurrency()
+        return self._scheduler.engine.cluster.spec.class_total(
+            [b.power_model.power_range(n).node_hi_w for b in bundles]
+        )
 
     def plan(
         self, app: WorkloadCharacteristics, target_perf: float

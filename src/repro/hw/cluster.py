@@ -178,6 +178,5 @@ class SimulatedCluster:
     @property
     def p_other_total_w(self) -> float:
         """Total uncapped component power when all nodes are on."""
-        if self._spec.is_homogeneous:
-            return self.n_nodes * self._spec.node.p_other_w
-        return float(sum(s.p_other_w for s in self._spec.node_specs))
+        spec = self._spec
+        return spec.class_total([c.p_other_w for c in spec.node_classes])

@@ -491,9 +491,10 @@ def _merge_adjacent_groups(
 ) -> tuple[NodeGroup, ...]:
     """Coalesce adjacent groups with identical specs.
 
-    Rack-composed clusters concatenate each rack's groups; a fleet of
-    identical racks would otherwise carry one group per rack and lose
-    its homogeneity (``is_homogeneous`` is the one-group case).
+    Rack-composed clusters concatenate each rack's groups, and a
+    ``groups=`` population may list one class twice in a row; either
+    would otherwise carry a redundant group and lose its homogeneity
+    (``is_homogeneous`` is the one-group case).
     """
     merged: list[NodeGroup] = []
     for g in groups:
@@ -507,12 +508,20 @@ def _merge_adjacent_groups(
 class ClusterSpec:
     """A cluster of nodes plus its interconnect.
 
-    The node population is an ordered tuple of :class:`NodeGroup`\\ s;
-    homogeneous clusters are the one-group special case and may still be
-    constructed with the legacy ``n_nodes=``/``node=`` keywords.  The
-    per-slot view is :attr:`node_specs`; the legacy :attr:`node`
-    property remains valid only for single-group clusters and raises
-    :class:`SpecError` on mixed ones.
+    The node population is an ordered tuple of :class:`NodeGroup`\\ s
+    (adjacent identical groups merged); homogeneous clusters are the
+    one-group special case and may still be constructed with the legacy
+    ``n_nodes=``/``node=`` keywords.  The per-slot view is
+    :attr:`node_specs`; the legacy :attr:`node` property remains valid
+    only for single-group clusters and raises :class:`SpecError` on
+    mixed ones.
+
+    The decision stack reads the fleet through one per-class view:
+    :attr:`node_classes` (the distinct specs, in first-slot order) and
+    :attr:`class_of_slot` (each slot's index into it).  Per-slot
+    quantities are gathered from per-class values, and fleet totals sum
+    ``count * value`` per class, so a one-class fleet computes exactly
+    ``n * value``.
 
     Fleet-scale clusters are composed of **racks** (``racks=``): an
     ordered tuple of :class:`RackSpec`\\ s whose groups are concatenated
@@ -539,6 +548,8 @@ class ClusterSpec:
         "variability_sigma",
         "variability_seed",
         "_node_specs",
+        "_node_classes",
+        "_class_of_slot",
     )
 
     def __init__(
@@ -586,6 +597,7 @@ class ClusterSpec:
             for g in groups:
                 if not isinstance(g, NodeGroup):
                     raise SpecError(f"groups must contain NodeGroup, got {g!r}")
+            groups = _merge_adjacent_groups(groups)
         else:
             count = 8 if n_nodes is None else n_nodes
             if count < 1:
@@ -602,10 +614,13 @@ class ClusterSpec:
         object.__setattr__(self, "link_bandwidth", link_bandwidth)
         object.__setattr__(self, "variability_sigma", variability_sigma)
         object.__setattr__(self, "variability_seed", variability_seed)
+        node_specs = tuple(g.spec for g in groups for _ in range(g.count))
+        node_classes = tuple(dict.fromkeys(node_specs))
+        class_index = {spec: k for k, spec in enumerate(node_classes)}
+        object.__setattr__(self, "_node_specs", node_specs)
+        object.__setattr__(self, "_node_classes", node_classes)
         object.__setattr__(
-            self,
-            "_node_specs",
-            tuple(g.spec for g in groups for _ in range(g.count)),
+            self, "_class_of_slot", tuple(class_index[s] for s in node_specs)
         )
 
     def __setattr__(self, key, value):
@@ -674,6 +689,17 @@ class ClusterSpec:
         return self._node_specs
 
     @property
+    def node_classes(self) -> tuple[NodeSpec, ...]:
+        """The distinct node specs, in first-slot order (slot 0's class
+        is class 0)."""
+        return self._node_classes
+
+    @property
+    def class_of_slot(self) -> tuple[int, ...]:
+        """Each slot's index into :attr:`node_classes`, in slot-id order."""
+        return self._class_of_slot
+
+    @property
     def total_cores(self) -> int:
         """Total physical cores in the cluster."""
         return sum(g.count * g.spec.n_cores for g in self.groups)
@@ -681,12 +707,23 @@ class ClusterSpec:
     @property
     def p_cluster_max_w(self) -> float:
         """Peak cluster power (all nodes flat out)."""
-        if self.is_homogeneous:
-            # keep the seed's count * value arithmetic bit-identical
-            return self.n_nodes * self.groups[0].spec.p_node_max_w
-        return float(
-            sum(g.count * g.spec.p_node_max_w for g in self.groups)
-        )
+        return self.class_total([c.p_node_max_w for c in self._node_classes])
+
+    def class_total(self, per_class, slots=None) -> float:
+        """Sum of a per-class quantity over *slots* (default: every slot).
+
+        Summed as ``count * value`` per class present, in class order,
+        so a one-class total is exactly ``n * value``.  Entries of
+        classes with no slot among *slots* are never read.
+        """
+        of = self._class_of_slot
+        ks = of if slots is None else [of[i] for i in slots]
+        total = 0
+        for k, value in enumerate(per_class):
+            count = ks.count(k)
+            if count:
+                total += count * value
+        return float(total)
 
     # -- rack partition (hierarchical budgeting) ------------------------
 

@@ -179,11 +179,9 @@ class BatchEvaluator:
         # constants are gathered from these per-class tables at
         # evaluation time, so a mixed cluster runs the same array
         # program with per-cell coefficients
-        class_list = list(dict.fromkeys(specs))
+        class_list = list(cluster.spec.node_classes)
         self._class_list = class_list
-        self._slot_class = np.array(
-            [class_list.index(s) for s in specs], dtype=np.int64
-        )
+        self._slot_class = np.array(cluster.spec.class_of_slot, dtype=np.int64)
         # a slot keeps its hardware class for life (a degraded node is
         # rebuilt from its own spec), so per-slot facts are fixed here
         self._slot_cores = [s.n_cores for s in specs]

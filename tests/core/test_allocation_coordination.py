@@ -237,7 +237,7 @@ class TestMeasureNodeFactors:
 
 class TestClusterAllocator:
     def _alloc(self, recommender, n_total=8, factors=None):
-        return ClusterAllocator(recommender, n_total, node_factors=factors)
+        return ClusterAllocator((recommender,), (0,) * n_total, node_factors=factors)
 
     def test_generous_budget_uses_all_nodes(self, recommender_for):
         alloc = self._alloc(recommender_for("comd")).allocate(2400.0)
@@ -293,7 +293,7 @@ class TestClusterAllocator:
     def test_variability_coordination_engages(self, recommender_for):
         factors = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.25])
         rec = recommender_for("comd")
-        alloc = ClusterAllocator(rec, 8, node_factors=factors).allocate(1400.0)
+        alloc = ClusterAllocator((rec,), (0,) * 8, node_factors=factors).allocate(1400.0)
         budgets = np.array(alloc.node_budgets_w)
         if alloc.n_nodes == 8:
             assert budgets[7] > budgets[0]
@@ -315,4 +315,6 @@ class TestClusterAllocator:
 
     def test_factors_length_validated(self, recommender_for):
         with pytest.raises(SchedulingError):
-            ClusterAllocator(recommender_for("comd"), 8, node_factors=np.ones(4))
+            ClusterAllocator(
+                (recommender_for("comd"),), (0,) * 8, node_factors=np.ones(4)
+            )

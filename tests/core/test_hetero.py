@@ -151,3 +151,38 @@ class TestClassPreservation:
         cluster = SimulatedCluster.mixed_testbed()
         with pytest.raises(SpecError):
             cluster.spec.node
+
+
+class TestOneFleetTwoSpellings:
+    """A fleet is its node classes, not the way its groups were listed."""
+
+    BUDGETS_W = (450.0, 1000.0, 1700.0, 2400.0)
+
+    def test_split_groups_schedule_like_the_testbed(self, trained_inflection):
+        import json
+
+        from repro.hw.specs import ClusterSpec, NodeGroup, haswell_node, haswell_testbed
+        from repro.workloads.apps import all_apps
+
+        reference = haswell_testbed()
+        split = ClusterSpec(
+            name=reference.name,
+            groups=(NodeGroup(haswell_node(), 4),) * 2,
+            link_latency_s=reference.link_latency_s,
+            link_bandwidth=reference.link_bandwidth,
+            variability_sigma=reference.variability_sigma,
+            variability_seed=reference.variability_seed,
+        )
+
+        def decisions(spec):
+            engine = ExecutionEngine(SimulatedCluster(spec), seed=42)
+            clip = ClipScheduler(engine, inflection=trained_inflection)
+            return [
+                json.dumps(clip.schedule(app, w).to_dict(), sort_keys=True)
+                for app in all_apps()
+                for w in self.BUDGETS_W
+            ]
+
+        expected = decisions(reference)
+        assert len(expected) == 13 * len(self.BUDGETS_W)
+        assert decisions(split) == expected

@@ -175,6 +175,31 @@ class TestNodeGroups:
         assert spec.groups[0].count == 8
         assert spec.node == spec.groups[0].spec
 
+    def test_adjacent_identical_groups_merge(self):
+        hw = haswell_node()
+        spec = ClusterSpec(groups=(NodeGroup(hw, 4),) * 2)
+        assert spec.groups == (NodeGroup(hw, 8),)
+        assert spec.is_homogeneous
+        assert spec.node == hw
+        assert spec == ClusterSpec(n_nodes=8, node=hw)
+
+    def test_class_view_follows_first_slot_order(self):
+        hw, bw = haswell_node(), broadwell_node()
+        spec = ClusterSpec(
+            groups=(NodeGroup(hw, 2), NodeGroup(bw, 3), NodeGroup(hw, 1))
+        )
+        assert spec.node_classes == (hw, bw)
+        assert spec.class_of_slot == (0, 0, 1, 1, 1, 0)
+        assert spec.class_total([10.0, 1.0]) == 33.0
+        assert spec.class_total([10.0, 1.0], slots=(0, 2)) == 11.0
+
+    def test_one_class_total_is_count_times_value(self):
+        spec = haswell_testbed()
+        node = spec.node
+        assert spec.node_classes == (node,)
+        assert spec.class_of_slot == (0,) * 8
+        assert spec.p_cluster_max_w == 8 * node.p_node_max_w
+
     def test_node_specs_follow_group_order(self):
         hw, bw = haswell_node(), broadwell_node()
         spec = ClusterSpec(groups=(NodeGroup(hw, 2), NodeGroup(bw, 3)))
