@@ -8,17 +8,19 @@ detail CLIP actually interacts with:
   :func:`~repro.hw.specs.haswell_testbed` factory,
 * :mod:`repro.hw.dvfs` — the discrete frequency ladder and P-states,
 * :mod:`repro.hw.power` — the ground-truth analytic power model,
-* :mod:`repro.hw.rapl` — RAPL-like power domains (PKG / DRAM) with
-  energy counters and cap enforcement,
+* :mod:`repro.hw.rapl` — RAPL-like power domains (PKG / DRAM / GPU):
+  cap programming, energy counters and throttle accounting,
+* :mod:`repro.hw.governor` — the time-stepped running-average limiter,
 * :mod:`repro.hw.numa` — NUMA topology and remote-access penalties,
 * :mod:`repro.hw.counters` — synthesis of the Table-I hardware events,
 * :mod:`repro.hw.variability` — manufacturing variability,
 * :mod:`repro.hw.meter` — sampled power traces,
 * :mod:`repro.hw.node` / :mod:`repro.hw.cluster` — composition.
 
-The substrate is *analytic*: instead of cycle-level simulation it
-resolves a steady-state operating point (frequency, bandwidth, power)
-for a given workload phase, which is the granularity at which RAPL and
+The substrate is *analytic*: instead of cycle-level simulation, the
+simulator (:mod:`repro.sim.batch`) resolves a steady-state operating
+point (frequency, bandwidth, power) for a given workload phase under
+the caps these registers enforce — the granularity at which RAPL and
 the paper's scheduler operate (milliseconds and above).
 """
 
@@ -35,7 +37,7 @@ from repro.hw.specs import (
     broadwell_testbed,
     mixed_testbed,
 )
-from repro.hw.dvfs import FrequencyLadder, DvfsController
+from repro.hw.dvfs import FrequencyLadder
 from repro.hw.power import PowerModel, PowerBreakdown
 from repro.hw.rapl import RaplDomain, RaplInterface, Domain
 from repro.hw.governor import GovernorSample, RaplGovernor
@@ -60,7 +62,6 @@ __all__ = [
     "broadwell_testbed",
     "mixed_testbed",
     "FrequencyLadder",
-    "DvfsController",
     "PowerModel",
     "PowerBreakdown",
     "RaplDomain",

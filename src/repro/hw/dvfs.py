@@ -1,15 +1,12 @@
 """Dynamic voltage and frequency scaling (DVFS).
 
 :class:`FrequencyLadder` wraps a socket's discrete P-state table and
-answers the two questions the rest of the system asks:
-
-* "what frequencies may I run at?" (quantization, neighbors), and
-* "what is the highest frequency whose package power fits under a cap?"
-  — the core of RAPL cap resolution in :mod:`repro.hw.rapl`.
-
-:class:`DvfsController` holds mutable per-core frequency state for one
-socket, mirroring per-core DVFS on Haswell (Fig. 5 of the paper notes
-"per-core DVFS is available").
+answers "what frequencies may I run at?": quantization onto the ladder
+and its neighbouring P-states.  The simulator quantizes capped and
+pinned frequencies with it, and the time-stepped
+:class:`~repro.hw.governor.RaplGovernor` walks it one step at a time.
+A frequency pin reaches a run through
+:attr:`ExecutionConfig.frequency_hz <repro.sim.engine.ExecutionConfig>`.
 """
 
 from __future__ import annotations
@@ -17,12 +14,10 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import SpecError
-from repro.hw.specs import GpuSpec, SocketSpec
+from repro.hw.specs import SocketSpec
 
-__all__ = ["FrequencyLadder", "DvfsController"]
+__all__ = ["FrequencyLadder"]
 
 
 class FrequencyLadder:
@@ -42,11 +37,6 @@ class FrequencyLadder:
     def from_socket(cls, socket: SocketSpec) -> "FrequencyLadder":
         """Build the ladder declared by a socket specification."""
         return cls(socket.freq_ladder)
-
-    @classmethod
-    def from_gpu(cls, gpu: GpuSpec) -> "FrequencyLadder":
-        """Build the clock ladder declared by an accelerator spec."""
-        return cls(gpu.clock_ladder_hz)
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -75,11 +65,6 @@ class FrequencyLadder:
         i = bisect.bisect_right(self._freqs, f + 1e-6)
         return self._freqs[max(0, i - 1)]
 
-    def quantize_up(self, f: float) -> float:
-        """Smallest ladder frequency >= *f* (clamped to ``f_max``)."""
-        i = bisect.bisect_left(self._freqs, f - 1e-6)
-        return self._freqs[min(len(self._freqs) - 1, i)]
-
     def step_down(self, f: float) -> float:
         """One P-state below *f* (saturating at ``f_min``)."""
         i = bisect.bisect_left(self._freqs, f - 1e-6)
@@ -89,69 +74,3 @@ class FrequencyLadder:
         """One P-state above *f* (saturating at ``f_max``)."""
         i = bisect.bisect_right(self._freqs, f + 1e-6)
         return self._freqs[min(len(self._freqs) - 1, i)]
-
-    def highest_under(self, predicate) -> float | None:
-        """Highest frequency for which ``predicate(f)`` is true.
-
-        *predicate* must be monotone (true for low f implies true for
-        all lower f); this is exactly the shape of "power fits under a
-        cap".  The search is a descending linear scan — ladders have at
-        most a few dozen entries, so binary search would buy nothing
-        (per the guides: measure before optimizing).
-
-        Returns ``None`` if the predicate fails even at ``f_min``.
-        """
-        for f in reversed(self._freqs):
-            if predicate(f):
-                return f
-        return None
-
-
-class DvfsController:
-    """Mutable per-core frequency state for one socket."""
-
-    def __init__(self, socket: SocketSpec):
-        self._socket = socket
-        self._ladder = FrequencyLadder.from_socket(socket)
-        self._freqs = np.full(socket.n_cores, socket.f_nominal, dtype=np.float64)
-
-    @property
-    def ladder(self) -> FrequencyLadder:
-        """The P-state table this controller selects from."""
-        return self._ladder
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Current per-core frequencies (a defensive copy)."""
-        return self._freqs.copy()
-
-    def frequency_of(self, core: int) -> float:
-        """Current frequency of *core*."""
-        self._check_core(core)
-        return float(self._freqs[core])
-
-    def set_core(self, core: int, f: float) -> float:
-        """Pin *core* to the ladder frequency nearest below *f*.
-
-        Returns the frequency actually applied.
-        """
-        self._check_core(core)
-        applied = self._ladder.quantize_down(f)
-        self._freqs[core] = applied
-        return applied
-
-    def set_all(self, f: float) -> float:
-        """Pin every core to the ladder frequency nearest below *f*."""
-        applied = self._ladder.quantize_down(f)
-        self._freqs[:] = applied
-        return applied
-
-    def reset(self) -> None:
-        """Return every core to the nominal frequency."""
-        self._freqs[:] = self._socket.f_nominal
-
-    def _check_core(self, core: int) -> None:
-        if not 0 <= core < self._socket.n_cores:
-            raise SpecError(
-                f"core index {core} outside [0, {self._socket.n_cores})"
-            )

@@ -1,17 +1,18 @@
 """Time-stepped RAPL governor (running-average power limiting).
 
-:meth:`RaplInterface.resolve` jumps straight to the steady state a cap
-settles at.  Real RAPL gets there *dynamically*: the hardware enforces
-the limit on a **running average** over a configurable time window
-(PL1/tau in the MSR), stepping the P-state down while the window
-average exceeds the limit and back up when headroom appears.  Transient
-excursions above the limit are legal as long as the average complies.
+The simulator (:class:`~repro.sim.batch.BatchEvaluator`) jumps straight
+to the steady state a cap settles at.  Real RAPL gets there
+*dynamically*: the hardware enforces the limit on a **running average**
+over a configurable time window (PL1/tau in the MSR), stepping the
+P-state down while the window average exceeds the limit and back up
+when headroom appears.  Transient excursions above the limit are legal
+as long as the average complies.
 
 :class:`RaplGovernor` reproduces those dynamics so settling time,
 transient overshoot, and cap-tracking under phase changes can be
-studied — and so the meter can record realistic saw-tooth traces.  Its
-fixed point is, by construction, the steady state ``resolve`` computes;
-the equivalence is pinned by tests.
+studied — and so the meter can record realistic saw-tooth traces.  It
+settles within one P-state of the highest ladder frequency whose
+package power fits the cap (checked in ``tests/hw/test_governor.py``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PowerDomainError
+from repro.hw.dvfs import FrequencyLadder
 from repro.hw.rapl import Domain, RaplInterface
 from repro.units import check_positive
 
@@ -61,7 +63,7 @@ class RaplGovernor:
         if interval_s > window_s:
             raise PowerDomainError("interval must not exceed the window")
         self._rapl = rapl
-        self._ladder = rapl._ladder
+        self._ladder = FrequencyLadder.from_socket(rapl.model.node.socket)
         self._window_n = max(int(round(window_s / interval_s)), 1)
         self._interval = interval_s
         self._f = self._ladder.f_max

@@ -1,7 +1,7 @@
 """Ground-truth analytic power model.
 
-This module computes the *actual* power the simulated hardware draws.
-It realizes the structure of the paper's Eqs. 5–9:
+The paper's Eqs. 5–9 give the structure of the power the simulated
+hardware draws:
 
 * package power = base + Σ active-core load (Eq. 7), where per-core load
   has a leakage term and a dynamic term super-linear in frequency and
@@ -10,14 +10,15 @@ It realizes the structure of the paper's Eqs. 5–9:
 * DRAM power = base + load linear in delivered bandwidth (Eq. 9);
 * node power = Σ package + Σ DRAM + other (Eq. 5).
 
+:class:`~repro.sim.batch.BatchEvaluator` evaluates all three, over many
+configurations at once, when it solves a run.  :class:`PowerModel`
+keeps the scalar package equation for the time-stepped
+:class:`~repro.hw.governor.RaplGovernor`, and :class:`PowerBreakdown`
+is the per-domain split the power meter records.
+
 CLIP never reads these equations directly — it observes power through
 the RAPL interface and meter, and *fits its own* model from profiles,
 preserving the paper's methodology.
-
-Everything here is pure and vectorization-friendly: frequency arguments
-may be scalars or NumPy arrays (per the HPC guides, avoid Python-level
-loops in hot paths — parameter sweeps evaluate thousands of operating
-points).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SpecError
-from repro.hw.specs import MemorySpec, NodeSpec, SocketSpec
-from repro.units import check_fraction, check_non_negative
+from repro.hw.specs import NodeSpec
 
 __all__ = ["PowerModel", "PowerBreakdown"]
 
@@ -115,10 +115,6 @@ class PowerModel:
         """Variability multiplier applied to PKG and DRAM power."""
         return self._efficiency
 
-    # ------------------------------------------------------------------
-    # forward model: configuration -> watts
-    # ------------------------------------------------------------------
-
     def core_power(self, f, activity=1.0):
         """Power of one active core at frequency *f* (Hz).
 
@@ -142,8 +138,7 @@ class PowerModel:
         """Package power (Eq. 7) with *n_active* cores at frequency *f*.
 
         All active cores are assumed to share one frequency, matching
-        how caps are resolved (socket-uniform throttling); per-core
-        heterogeneity is available via :meth:`pkg_power_percore`.
+        how caps are resolved (socket-uniform throttling).
         """
         socket = self._node.socket
         if not 0 <= n_active <= socket.n_cores:
@@ -154,132 +149,3 @@ class PowerModel:
         out = (base + n_active * np.asarray(self.core_power(f, activity))) * self._efficiency
         out = np.asarray(out)
         return float(out) if out.ndim == 0 else out
-
-    def pkg_power_percore(self, freqs: np.ndarray, activities: np.ndarray) -> float:
-        """Package power with per-core frequencies and activities.
-
-        Inactive cores are indicated by frequency 0.
-        """
-        freqs = np.asarray(freqs, dtype=np.float64)
-        acts = np.broadcast_to(
-            np.asarray(activities, dtype=np.float64), freqs.shape
-        )
-        active = freqs > 0
-        core_w = np.where(active, self.core_power(freqs, acts), 0.0)
-        return float(
-            (self._node.socket.p_base_w + core_w.sum()) * self._efficiency
-        )
-
-    def dram_power(self, bandwidth, memory: MemorySpec | None = None):
-        """DRAM power of one socket's memory (Eq. 9) at *bandwidth* B/s."""
-        mem = memory or self._node.socket.memory
-        bw = np.asarray(bandwidth, dtype=np.float64)
-        if np.any(bw < 0):
-            raise SpecError("bandwidth must be >= 0")
-        util = np.minimum(bw / mem.peak_bandwidth, 1.0)
-        out = (mem.p_base_w + mem.p_load_max_w * util) * self._efficiency
-        return float(out) if out.ndim == 0 else out
-
-    def node_power(
-        self,
-        active_per_socket,
-        f,
-        bandwidth_per_socket,
-        activity=1.0,
-    ) -> PowerBreakdown:
-        """Full node power (Eq. 5) for a symmetric operating point.
-
-        Parameters
-        ----------
-        active_per_socket:
-            Sequence of active-core counts, one per socket.
-        f:
-            Shared core frequency (Hz).
-        bandwidth_per_socket:
-            Sequence of delivered DRAM bandwidths (B/s), one per socket.
-        activity:
-            Core activity factor in [0, 1].
-        """
-        node = self._node
-        if len(active_per_socket) != node.n_sockets:
-            raise SpecError("active_per_socket length must equal n_sockets")
-        if len(bandwidth_per_socket) != node.n_sockets:
-            raise SpecError("bandwidth_per_socket length must equal n_sockets")
-        check_fraction(float(np.min(activity)), "activity")
-        pkg = sum(
-            self.pkg_power(int(n), f, activity) for n in active_per_socket
-        )
-        dram = sum(self.dram_power(bw) for bw in bandwidth_per_socket)
-        return PowerBreakdown(pkg_w=pkg, dram_w=dram, other_w=node.p_other_w)
-
-    def gpu_power(self, clock_hz: float, utilization: float = 1.0) -> float:
-        """Aggregate device power at *clock_hz* and busy-fraction *util*.
-
-        Like the core model, utilization scales only the dynamic term —
-        an idle board still draws its static power.  Returns 0.0 on
-        CPU-only nodes (the domain does not exist).
-        """
-        gpu = self._node.gpu
-        if gpu is None:
-            return 0.0
-        if clock_hz <= 0:
-            raise SpecError("gpu clock must be > 0")
-        if not 0.0 <= utilization <= 1.0:
-            raise SpecError("gpu utilization must lie in [0, 1]")
-        scale = (clock_hz / gpu.clk_nominal_hz) ** gpu.dyn_exponent
-        per_board = gpu.p_idle_w + gpu.p_dyn_w * scale * utilization
-        return self._node.n_gpus * per_board * self._efficiency
-
-    # ------------------------------------------------------------------
-    # inverse model: watts -> operating point, used for cap resolution
-    # ------------------------------------------------------------------
-
-    def max_freq_under_pkg_cap(
-        self,
-        cap_w: float,
-        n_active_per_socket,
-        activity=1.0,
-    ) -> float | None:
-        """Highest *continuous* frequency whose total PKG power <= cap.
-
-        The cap covers all sockets jointly (node-level PKG budget); the
-        RAPL layer quantizes the result onto the ladder.  Returns
-        ``None`` when even ``f_min`` (or pure leakage) exceeds the cap.
-        """
-        check_non_negative(cap_w, "cap")
-        socket = self._node.socket
-        n_total = int(sum(n_active_per_socket))
-        base = len(list(n_active_per_socket)) * socket.p_base_w
-        static = (
-            base + n_total * socket.core.p_leak_w
-        ) * self._efficiency
-        if n_total == 0:
-            return socket.f_max if static <= cap_w else None
-        act = float(np.mean(activity))
-        dyn_budget = cap_w - static
-        if dyn_budget < 0:
-            return None
-        if act <= 0:
-            return socket.f_max
-        # invert: dyn_budget = eff * n * p_dyn * act * (f/f_nom)^k
-        denom = self._efficiency * n_total * socket.core.p_dyn_w * act
-        rel = (dyn_budget / denom) ** (1.0 / socket.core.dyn_exponent)
-        f = rel * socket.f_nominal
-        if f < socket.f_min:
-            return None
-        return min(f, socket.f_max)
-
-    def max_bandwidth_under_dram_cap(self, cap_w: float) -> float | None:
-        """Highest per-socket bandwidth whose DRAM power <= cap.
-
-        *cap_w* is the per-socket DRAM budget.  Returns ``None`` when
-        the base power alone exceeds the cap (DRAM cannot be powered
-        down while hosting pages).
-        """
-        check_non_negative(cap_w, "cap")
-        mem = self._node.socket.memory
-        budget = cap_w / self._efficiency - mem.p_base_w
-        if budget < 0:
-            return None
-        util = min(budget / mem.p_load_max_w, 1.0) if mem.p_load_max_w > 0 else 1.0
-        return util * mem.peak_bandwidth

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PowerDomainError
+from repro.hw.dvfs import FrequencyLadder
 from repro.hw.governor import RaplGovernor
 from repro.hw.power import PowerModel
 from repro.hw.rapl import Domain, RaplInterface
@@ -24,10 +25,16 @@ class TestControlLaw:
         rapl.set_cap(Domain.PKG, 150.0)
         gov = make_governor(rapl)
         settled = gov.settled_frequency([12, 12], 0.9)
-        steady = rapl.resolve([12, 12], 0.9, [1e10, 1e10]).frequency_hz
-        # the dynamic loop oscillates at most one P-state around the
-        # analytic steady state
-        ladder = rapl._ladder
+        # the analytic steady state: the highest P-state whose package
+        # power fits the cap
+        model = rapl.model
+        ladder = FrequencyLadder.from_socket(model.node.socket)
+        steady = max(
+            f
+            for f in ladder.frequencies
+            if sum(model.pkg_power(n, f, 0.9) for n in (12, 12)) <= 150.0
+        )
+        # the dynamic loop oscillates at most one P-state around it
         assert settled in (
             steady, ladder.step_up(steady), ladder.step_down(steady)
         )

@@ -81,98 +81,6 @@ class TestPkgPower:
             1.1 * cold.pkg_power(12, ghz(2.3))
         )
 
-    def test_percore_matches_uniform(self, model):
-        f = ghz(2.0)
-        freqs = np.full(12, f)
-        assert model.pkg_power_percore(freqs, np.ones(12)) == pytest.approx(
-            model.pkg_power(12, f, 1.0)
-        )
-
-    def test_percore_ignores_inactive(self, model):
-        freqs = np.zeros(12)
-        freqs[:4] = ghz(2.3)
-        expected = model.pkg_power(4, ghz(2.3))
-        assert model.pkg_power_percore(freqs, np.ones(12)) == pytest.approx(expected)
-
-
-class TestDramPower:
-    def test_idle_is_base(self, model):
-        assert model.dram_power(0.0) == pytest.approx(
-            NODE.socket.memory.p_base_w
-        )
-
-    def test_full_load(self, model):
-        mem = NODE.socket.memory
-        assert model.dram_power(mem.peak_bandwidth) == pytest.approx(mem.p_max_w)
-
-    def test_saturates_beyond_peak(self, model):
-        mem = NODE.socket.memory
-        assert model.dram_power(2 * mem.peak_bandwidth) == pytest.approx(
-            mem.p_max_w
-        )
-
-    def test_linear_in_bandwidth(self, model):
-        mem = NODE.socket.memory
-        half = model.dram_power(mem.peak_bandwidth / 2)
-        assert half == pytest.approx(mem.p_base_w + mem.p_load_max_w / 2)
-
-
-class TestNodePower:
-    def test_breakdown_totals(self, model):
-        bd = model.node_power([12, 12], ghz(2.3), [3e10, 3e10])
-        assert bd.total_w == pytest.approx(bd.pkg_w + bd.dram_w + bd.other_w)
-        assert bd.capped_w == pytest.approx(bd.pkg_w + bd.dram_w)
-        assert bd.other_w == pytest.approx(NODE.p_other_w)
-
-    def test_scaled_leaves_other_alone(self, model):
-        bd = model.node_power([12, 12], ghz(2.3), [3e10, 3e10])
-        scaled = bd.scaled(1.1)
-        assert scaled.pkg_w == pytest.approx(1.1 * bd.pkg_w)
-        assert scaled.other_w == pytest.approx(bd.other_w)
-
-    def test_rejects_mismatched_sockets(self, model):
-        with pytest.raises(SpecError):
-            model.node_power([12], ghz(2.3), [3e10, 3e10])
-
-
-class TestInverseModel:
-    def test_roundtrip_freq_under_cap(self, model):
-        # forward power at a frequency, then invert: must recover >= it
-        f = ghz(2.0)
-        p = model.pkg_power(12, f, 0.8) + model.pkg_power(12, f, 0.8)
-        f_inv = model.max_freq_under_pkg_cap(p, [12, 12], 0.8)
-        assert f_inv == pytest.approx(f, rel=1e-6)
-
-    def test_infeasible_cap_returns_none(self, model):
-        assert model.max_freq_under_pkg_cap(10.0, [12, 12], 1.0) is None
-
-    def test_generous_cap_clamps_to_fmax(self, model):
-        f = model.max_freq_under_pkg_cap(5000.0, [1, 0], 1.0)
-        assert f == pytest.approx(NODE.socket.f_max)
-
-    def test_zero_active_cores(self, model):
-        f = model.max_freq_under_pkg_cap(100.0, [0, 0], 1.0)
-        assert f == pytest.approx(NODE.socket.f_max)
-
-    @given(
-        st.floats(min_value=60.0, max_value=250.0),
-        st.floats(min_value=0.1, max_value=1.0),
-    )
-    def test_inverse_respects_cap(self, cap, act):
-        model = PowerModel(NODE)
-        f = model.max_freq_under_pkg_cap(cap, [12, 12], act)
-        if f is not None:
-            p = 2 * model.pkg_power(12, f, act)
-            assert p <= cap * (1 + 1e-9)
-
-    def test_bandwidth_under_cap_roundtrip(self, model):
-        mem = NODE.socket.memory
-        bw = model.max_bandwidth_under_dram_cap(mem.p_base_w + mem.p_load_max_w / 2)
-        assert bw == pytest.approx(mem.peak_bandwidth / 2)
-
-    def test_bandwidth_cap_below_base(self, model):
-        assert model.max_bandwidth_under_dram_cap(1.0) is None
-
     def test_rejects_nonpositive_efficiency(self):
         with pytest.raises(SpecError):
             PowerModel(NODE, efficiency=0.0)
