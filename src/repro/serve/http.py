@@ -43,6 +43,9 @@ _MAX_HEADERS = 100
 _MAX_BODY = 16 * 1024 * 1024
 #: How long a ``wait=true`` submission may block on its decision.
 _DECISION_TIMEOUT_S = 60.0
+#: How long a connection answered with a framing 400 keeps draining
+#: what the client still sends before it is closed.
+_LINGER_S = 1.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -83,6 +86,18 @@ class _Request:
         if not isinstance(payload, dict):
             raise _BadRequest("JSON body must be an object")
         return payload
+
+
+async def _drain(reader) -> None:
+    while await reader.read(65536):
+        pass
+
+
+async def _read_line(reader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # longer than the stream's buffer limit
+        raise _BadRequest("request or header line too long") from exc
 
 
 def _parse_query(raw: str) -> dict[str, str]:
@@ -222,10 +237,14 @@ class ServeDaemon:
         ):
             pass
         except _BadRequest as exc:
-            # unparseable framing: answer if the pipe still works, drop
+            # unparseable framing: answer if the pipe still works, drop.
+            # Closing with unread input would reset the connection under
+            # the reply, so half-close and drain the rest first.
             try:
                 await self._respond(writer, 400, {"error": str(exc)}, False)
-            except ConnectionError:
+                writer.write_eof()
+                await asyncio.wait_for(_drain(reader), _LINGER_S)
+            except (ConnectionError, asyncio.TimeoutError):
                 pass
         finally:
             self._conn_tasks.discard(task)
@@ -236,7 +255,7 @@ class ServeDaemon:
                 pass
 
     async def _read_request(self, reader) -> _Request | None:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         try:
@@ -245,7 +264,7 @@ class ServeDaemon:
             raise _BadRequest(f"bad request line {line!r}") from exc
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            raw = await reader.readline()
+            raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -257,6 +276,8 @@ class ServeDaemon:
         if length is not None:
             try:
                 n = int(length)
+                if n < 0:
+                    raise ValueError(length)
             except ValueError as exc:
                 raise _BadRequest("bad Content-Length") from exc
             if n > _MAX_BODY:

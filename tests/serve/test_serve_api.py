@@ -11,6 +11,7 @@ smoke path the CI workflow exercises.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -209,6 +210,31 @@ class TestErrorCodec:
         with pytest.raises(ServeError) as err:
             client.submit("no-such-app")
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            # longer than the stream reader's 64 KiB line limit
+            b"GET /v1/" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"x" * 70_000
+            + b"\r\n\r\n",
+        ],
+        ids=["negative-content-length", "long-request-line", "long-header"],
+    )
+    def test_malformed_framing_is_400_then_close(self, daemon, raw):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        # the daemon still serves a fresh connection
+        with ServeClient("127.0.0.1", daemon.port) as fresh:
+            assert fresh.health()["ok"] is True
 
 
 class TestClientConnection:
