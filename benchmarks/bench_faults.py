@@ -20,9 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.analysis.experiments import build_trained_inflection
 from repro.cli import FAULT_DEMO_APPS, demo_fault_events
@@ -33,6 +31,7 @@ from repro.sim.engine import ExecutionEngine
 from repro.sim.faults import FaultInjector
 from repro.workloads.apps import get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_faults.json"
 
 BUDGET_W = 1600.0

@@ -21,9 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.analysis.experiments import build_trained_inflection
 from repro.core.scheduler import ClipScheduler
@@ -32,6 +30,7 @@ from repro.hw.specs import gpu_testbed, mixed_gpu_testbed
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import GPU_APPS, get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_gpu.json"
 
 #: Every GPU port plus host-only classes that land on accelerator

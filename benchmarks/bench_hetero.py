@@ -20,9 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.analysis.experiments import build_trained_inflection
 from repro.core.scheduler import ClipScheduler
@@ -30,6 +28,7 @@ from repro.hw.cluster import SimulatedCluster
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_hetero.json"
 
 APPS = ("comd", "minimd", "sp-mz.C", "bt-mz.C", "tealeaf", "cloverleaf.128")

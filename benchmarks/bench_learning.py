@@ -34,9 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.analysis.experiments import build_trained_inflection
 from repro.baselines import OracleScheduler
@@ -47,6 +45,7 @@ from repro.sim.batch import RunCache
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.apps import get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_learning.json"
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_decisions_testbeds.json"
 

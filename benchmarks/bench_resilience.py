@@ -26,9 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.analysis.experiments import build_trained_inflection
 from repro.core.runtime import PowerBoundedRuntime
@@ -41,6 +39,7 @@ from repro.sim.engine import ExecutionEngine
 from repro.sim.faults import FaultEvent, FaultInjector, run_scripted
 from repro.workloads.apps import get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_resilience.json"
 
 BUDGET_W = 1200.0

@@ -25,9 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # standalone execution
 
 from repro.baselines.optimal import OracleScheduler
 from repro.hw.cluster import SimulatedCluster
@@ -35,6 +33,7 @@ from repro.sim.batch import RunCache
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.workloads.apps import get_app
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_batch.json"
 
 ORACLE_APP = "sp-mz.C"
