@@ -9,8 +9,6 @@ Regenerated series: performance for every (memory watts, core count)
 grid point at a fixed 120 W node budget.
 """
 
-import numpy as np
-
 from repro.analysis.tables import render_table
 from repro.sim.engine import ExecutionConfig
 from repro.workloads.apps import get_app

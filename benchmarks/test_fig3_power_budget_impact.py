@@ -13,8 +13,6 @@ concurrency for EP (linear, 3a), STREAM (logarithmic, 3b), and SP
   budget shrinks for parabolic applications.
 """
 
-import numpy as np
-
 from repro.analysis.tables import render_table
 from repro.sim.engine import ExecutionConfig
 from repro.workloads.apps import get_app

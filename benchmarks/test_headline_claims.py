@@ -10,8 +10,6 @@
   budget".
 """
 
-import numpy as np
-
 from repro.analysis.experiments import compare_methods
 from repro.analysis.metrics import geometric_mean, improvement_over
 from repro.analysis.tables import render_table

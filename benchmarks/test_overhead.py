@@ -14,7 +14,7 @@ import time
 
 from repro.analysis.tables import render_table
 from repro.core.knowledge import KnowledgeDB
-from repro.core.profile import DEFAULT_PROFILE_ITERATIONS, SmartProfiler
+from repro.core.profile import DEFAULT_PROFILE_ITERATIONS
 from repro.core.scheduler import ClipScheduler
 from repro.sim.engine import ExecutionConfig
 from repro.workloads.apps import get_app

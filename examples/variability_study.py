@@ -11,8 +11,6 @@ node taxes every step and power shifting buys the difference back.
 Run:  python examples/variability_study.py
 """
 
-import numpy as np
-
 from repro.analysis.experiments import build_trained_inflection
 from repro.analysis.tables import render_table
 from repro.core.knowledge import KnowledgeDB

@@ -9,7 +9,6 @@ from repro.baselines import (
     OracleScheduler,
 )
 from repro.baselines.allin import ALLIN_MEM_W
-from repro.baselines.lowerlimit import NODE_FLOOR_W
 from repro.errors import InfeasibleBudgetError
 from repro.workloads.apps import get_app
 from tests.sim.golden_runs import ORACLE_BUDGETS, config_dict, golden

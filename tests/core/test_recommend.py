@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.classify import ScalabilityClass
 from repro.core.perfmodel import PerformancePredictor
 from repro.core.powermodel import ClipPowerModel
 from repro.core.recommend import Recommender

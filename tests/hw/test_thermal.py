@@ -1,6 +1,5 @@
 """Tests for the package thermal model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SpecError

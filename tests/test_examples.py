@@ -10,8 +10,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 

@@ -11,7 +11,6 @@ consciously when calibration changes, and re-check EXPERIMENTS.md).
 import pytest
 
 from repro.core.knowledge import KnowledgeDB
-from repro.core.profile import SmartProfiler
 from repro.core.scheduler import ClipScheduler
 from repro.sim.engine import ExecutionConfig
 from repro.workloads.apps import get_app
