@@ -2,8 +2,9 @@
 
 The warm decision path is fastest in batches —
 ``ClipScheduler.schedule_many`` amortizes the pipeline over a burst at
-~0.1–1.3 ms/job (BENCH_pipeline.json) — so the service must not decide
-submissions one HTTP request at a time.  :class:`BurstCoalescer` sits
+~0.06 ms/job, against ~0.4 ms per warm single decision
+(BENCH_pipeline.json) — so the service must not decide submissions one
+HTTP request at a time.  :class:`BurstCoalescer` sits
 between the event loop and a single decision thread:
 
 * submissions land on an :class:`asyncio.Queue`;
