@@ -21,12 +21,18 @@ Run from the repo root:
     PYTHONPATH=src:. python tests/data/capture_golden_engine_runs.py
 
 Re-run (and review the diff consciously) only when a deliberate
-behaviour change moves the simulator's outputs.
+behaviour change moves the simulator's outputs.  ``--diff`` replays
+without writing and prints every moved key (a fleet case, the degraded
+run, the failed-node check, a fault step or an oracle plan) with its
+field-level old -> new values (exit 1 when anything moved):
+
+    PYTHONPATH=src:. python tests/data/capture_golden_engine_runs.py --diff
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.baselines import OracleScheduler
@@ -48,6 +54,8 @@ from tests.sim.test_batch import (
     MIXED_CASES,
     MIXED_GPU_CASES,
 )
+
+OUT = Path(__file__).parent / "golden_engine_runs.json"
 
 FLEETS = {
     "exact": (SimulatedCluster.testbed, EQUIVALENCE_CASES),
@@ -111,7 +119,57 @@ def capture() -> dict:
     return payload
 
 
+def _keyed(payload: dict) -> dict:
+    """Flatten a capture to ``{key: value}``: one key per fleet case,
+    fault step and oracle plan, plus ``degraded`` and ``failed_node``."""
+    out = {}
+    for section, value in payload.items():
+        if section in FLEETS or section == "oracle":
+            for case, entry in value.items():
+                out[f"{section}/{case}"] = entry
+        elif section == "faults":
+            for i, step in enumerate(value):
+                out[f"faults[{i}]"] = step
+        else:
+            out[section] = value
+    return out
+
+
+def _fields(value, path: str = ""):
+    """``(field path, leaf value)`` pairs, e.g. ``run.nodes[1].t_iter_s``."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _fields(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """Report lines for every key whose value moved between captures."""
+    old_k, new_k = _keyed(old), _keyed(new)
+    lines = []
+    for key in sorted(set(old_k) | set(new_k)):
+        before, after = old_k.get(key), new_k.get(key)
+        if before == after:
+            continue
+        lines.append(key)
+        old_f, new_f = dict(_fields(before)), dict(_fields(after))
+        for name in sorted(set(old_f) | set(new_f)):
+            a = old_f.get(name, "(absent)")
+            b = new_f.get(name, "(absent)")
+            if a != b:
+                lines.append(f"  {name or '(value)'}: {a!r} -> {b!r}")
+    return lines
+
+
 if __name__ == "__main__":
-    out = Path(__file__).parent / "golden_engine_runs.json"
-    out.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    if sys.argv[1:] == ["--diff"]:
+        current = json.loads(json.dumps(capture()))  # tuples -> lists
+        moved = diff(json.loads(OUT.read_text()), current)
+        print("\n".join(moved) if moved else "no keys moved")
+        sys.exit(1 if moved else 0)
+    OUT.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {OUT}")
