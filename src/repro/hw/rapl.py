@@ -467,22 +467,31 @@ class RaplInterface:
     # energy accounting
     # ------------------------------------------------------------------
 
-    def note_throttling(self, point: OperatingPoint) -> None:
-        """Count one throttle event per domain *point* throttled."""
-        if point.cpu_throttled:
+    def note_throttling(
+        self, cpu_throttled: bool, mem_throttled: bool, gpu_throttled: bool
+    ) -> None:
+        """Count one throttle event per throttled domain (an
+        :class:`OperatingPoint`'s ``*_throttled`` flags)."""
+        if cpu_throttled:
             self._domains[Domain.PKG].note_throttled()
-        if point.mem_throttled:
+        if mem_throttled:
             self._domains[Domain.DRAM].note_throttled()
-        if point.gpu_throttled:
+        if gpu_throttled:
             self._domains[Domain.GPU].note_throttled()
 
-    def accumulate(self, point: OperatingPoint, dt_s: float) -> None:
-        """Integrate a steady-state interval into the energy counters."""
-        self._domains[Domain.PKG].accumulate(point.pkg_power_w, dt_s)
-        self._domains[Domain.DRAM].accumulate(point.dram_power_w, dt_s)
+    def accumulate(
+        self, pkg_w: float, dram_w: float, gpu_w: float, dt_s: float
+    ) -> None:
+        """Integrate a steady-state interval into the energy counters.
+
+        The powers are an :class:`OperatingPoint`'s domain powers;
+        ``gpu_w`` is ignored on a node without a GPU domain.
+        """
+        self._domains[Domain.PKG].accumulate(pkg_w, dt_s)
+        self._domains[Domain.DRAM].accumulate(dram_w, dt_s)
         gpu = self._domains.get(Domain.GPU)
         if gpu is not None:
-            gpu.accumulate(point.gpu_power_w, dt_s)
+            gpu.accumulate(gpu_w, dt_s)
 
     def energy_j(self, domain: Domain) -> float:
         """Unwrapped accumulated energy of *domain* in joules."""

@@ -126,6 +126,6 @@ class TestEnergyAccounting:
             cpu_throttled=False,
             mem_throttled=False,
         )
-        rapl.accumulate(op, 10.0)
+        rapl.accumulate(op.pkg_power_w, op.dram_power_w, op.gpu_power_w, 10.0)
         assert rapl.energy_j(Domain.PKG) == pytest.approx(op.pkg_power_w * 10.0)
         assert rapl.energy_j(Domain.DRAM) == pytest.approx(op.dram_power_w * 10.0)
