@@ -31,6 +31,7 @@ class SimulatedCluster:
                 zip(spec.node_specs, self._variability.factors)
             )
         ]
+        self._efficiencies = tuple(n.efficiency for n in self._nodes)
         self._failed: set[int] = set()
 
     @classmethod
@@ -58,6 +59,16 @@ class SimulatedCluster:
         """All nodes, indexed by node id."""
         return tuple(self._nodes)
 
+    @property
+    def efficiencies(self) -> tuple[float, ...]:
+        """Every node's efficiency multiplier, indexed by node id.
+
+        Only :meth:`degrade_node` changes it (a recovered node keeps
+        its factor), so run-cache keys read it instead of asking every
+        node.
+        """
+        return self._efficiencies
+
     def degrade_node(self, node_id: int, factor: float) -> SimulatedNode:
         """Worsen one node's power efficiency mid-life (fault injection).
 
@@ -80,6 +91,7 @@ class SimulatedCluster:
             efficiency=old.efficiency * factor,
         )
         self._nodes[node_id] = replacement
+        self._efficiencies = tuple(n.efficiency for n in self._nodes)
         return replacement
 
     # -- node failure state (fault injection) ---------------------------
@@ -115,7 +127,7 @@ class SimulatedCluster:
 
     def is_available(self, node_id: int) -> bool:
         """Whether the node is in service (exists and is not failed)."""
-        return 0 <= node_id < self.n_nodes and node_id not in self._failed
+        return 0 <= node_id < len(self._nodes) and node_id not in self._failed
 
     @property
     def failed_node_ids(self) -> tuple[int, ...]:
@@ -159,7 +171,7 @@ class SimulatedCluster:
 
     def node(self, node_id: int) -> SimulatedNode:
         """Access one node by id."""
-        if not 0 <= node_id < self.n_nodes:
+        if not 0 <= node_id < len(self._nodes):
             raise SpecError(f"node id {node_id} outside [0, {self.n_nodes})")
         return self._nodes[node_id]
 

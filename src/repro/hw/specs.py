@@ -550,6 +550,7 @@ class ClusterSpec:
         "_node_specs",
         "_node_classes",
         "_class_of_slot",
+        "_hash",
     )
 
     def __init__(
@@ -622,6 +623,9 @@ class ClusterSpec:
         object.__setattr__(
             self, "_class_of_slot", tuple(class_index[s] for s in node_specs)
         )
+        # immutable (and unpicklable), so hashed once: run-cache and
+        # solve-memo keys hash the spec on every lookup
+        object.__setattr__(self, "_hash", hash(self._identity()))
 
     def __setattr__(self, key, value):
         raise AttributeError(f"ClusterSpec is immutable (tried to set {key!r})")
@@ -646,7 +650,7 @@ class ClusterSpec:
         return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        return self._hash
 
     def __repr__(self) -> str:
         racks = f"racks={self.racks!r}, " if self.racks is not None else ""
