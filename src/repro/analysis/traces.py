@@ -63,20 +63,21 @@ def audit_cap_violations(result: RunResult) -> list[CapViolation]:
     """List every domain that ran above its programmed limit.
 
     Violations happen only when a cap was set below the domain's
-    hardware floor (lowest P-state / lowest memory level) — a
-    scheduler bug or an infeasible budget the caller should know about.
+    hardware floor (lowest P-state, lowest memory level, or the GPU
+    board's lowest clock busy or its idle draw) — a scheduler bug or an
+    infeasible budget the caller should know about.  Per node, in
+    PKG, DRAM, GPU order.
     """
     out: list[CapViolation] = []
     for rec in result.nodes:
         op = rec.operating_point
-        if op.cpu_cap_violated:
-            out.append(
-                CapViolation(rec.node_id, "pkg", op.pkg_power_w)
-            )
-        if op.mem_cap_violated:
-            out.append(
-                CapViolation(rec.node_id, "dram", op.dram_power_w)
-            )
+        for violated, domain, power_w in (
+            (op.cpu_cap_violated, "pkg", op.pkg_power_w),
+            (op.mem_cap_violated, "dram", op.dram_power_w),
+            (op.gpu_cap_violated, "gpu", op.gpu_power_w),
+        ):
+            if violated:
+                out.append(CapViolation(rec.node_id, domain, power_w))
     return out
 
 

@@ -8,7 +8,9 @@ from repro.analysis.traces import (
     samples_to_csv,
     summarize_run,
 )
-from repro.sim.engine import ExecutionConfig
+from repro.hw.cluster import SimulatedCluster
+from repro.hw.specs import mixed_gpu_testbed
+from repro.sim.engine import ExecutionConfig, ExecutionEngine
 from repro.workloads.apps import get_app
 
 
@@ -56,6 +58,27 @@ class TestAudit:
         assert len(violations) == 1
         assert violations[0].domain == "pkg"
         assert violations[0].steady_power_w > 40.0
+
+    @pytest.mark.parametrize("app_name", ["comd", "minife-gpu"])
+    def test_gpu_breach_is_flagged(self, app_name):
+        """A device cap under the board floor is a violation too: the
+        idle boards of a host-only app and the busy boards of an
+        offloading one both run above 10 W."""
+        engine = ExecutionEngine(SimulatedCluster(mixed_gpu_testbed()), seed=42)
+        result = engine.evaluate(
+            get_app(app_name),
+            ExecutionConfig(n_nodes=8, n_threads=12, gpu_cap_w=10.0, iterations=2),
+        )
+        breached = [
+            rec for rec in result.nodes if rec.operating_point.gpu_cap_violated
+        ]
+        gpu = [v for v in audit_cap_violations(result) if v.domain == "gpu"]
+        assert [rec.node_id for rec in breached] == [0, 1, 2, 3]  # device slots
+        assert [v.node_id for v in gpu] == [0, 1, 2, 3]
+        assert [v.steady_power_w for v in gpu] == [
+            rec.operating_point.gpu_power_w for rec in breached
+        ]
+        assert all(v.steady_power_w > 10.0 for v in gpu)
 
 
 class TestSummary:
