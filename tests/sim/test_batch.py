@@ -14,15 +14,18 @@ invalidate naturally.
 """
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import NodeFailureError
 from repro.hw.cluster import SimulatedCluster
 from repro.hw.numa import AffinityKind
+from repro.hw.specs import mixed_gpu_testbed, mixed_testbed
 from repro.sim.batch import BatchEvaluator, RunCache, config_cache_key
 from repro.sim.engine import ExecutionConfig, ExecutionEngine
-from repro.workloads.apps import get_app
+from repro.workloads.apps import GPU_APPS, all_apps, get_app
 from tests.sim.golden_runs import (
     canon,
     case_ids,
@@ -528,3 +531,89 @@ class TestGoldenEngineRuns:
         assert all(n.meter.elapsed_s == 0.0 for n in cluster.nodes)
         # evaluation answers the what-if regardless of availability
         engine.evaluate(get_app("comd"), cfg)
+
+
+#: Fleets of the batched-vs-single property: two CPU classes, and GPU
+#: slots beside CPU-only ones.
+_PROPERTY_FLEETS = {"mixed": mixed_testbed, "mixed-gpu": mixed_gpu_testbed}
+#: PKG caps below the package floor (violated), between the floors
+#: (duty-cycle fallback) and above them, per node.
+_PKG_W = st.one_of(
+    st.floats(15.0, 45.0), st.floats(45.0, 80.0), st.floats(80.0, 300.0)
+)
+#: DRAM caps below base power, binding, and loose.
+_DRAM_W = st.one_of(
+    st.floats(2.0, 10.0), st.floats(10.0, 24.0), st.floats(24.0, 60.0)
+)
+_GPU_W = st.floats(5.0, 320.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _property_engine(fleet: str) -> ExecutionEngine:
+    # evaluate() touches no hardware state, so examples share engines
+    return ExecutionEngine(SimulatedCluster(_PROPERTY_FLEETS[fleet]()), seed=42)
+
+
+@st.composite
+def _node_configs(draw, fleet: str) -> ExecutionConfig:
+    """1-8 nodes in any slot order, each with its own caps (a GPU cap
+    on device slots)."""
+    specs = _property_engine(fleet).cluster.spec.node_specs
+    n_nodes = draw(st.integers(1, 8))
+    ids = tuple(draw(st.permutations(range(len(specs))))[:n_nodes])
+    n_threads = draw(st.integers(1, min(specs[i].n_cores for i in ids)))
+    caps = tuple(
+        (draw(_PKG_W), draw(_DRAM_W))
+        + ((draw(_GPU_W),) if specs[i].has_gpu else ())
+        for i in ids
+    )
+    return ExecutionConfig(
+        n_nodes=n_nodes, n_threads=n_threads, per_node_caps=caps,
+        node_ids=ids, iterations=2,
+    )
+
+
+def _fleet_case(fleet: str):
+    apps = all_apps() + (GPU_APPS if fleet == "mixed-gpu" else ())
+    return st.tuples(
+        st.just(fleet),
+        st.sampled_from([a.name for a in apps]),
+        st.lists(_node_configs(fleet), min_size=1, max_size=4),
+    )
+
+
+class TestBatchedEqualsSingleCalls:
+    """Cells that converge at different rounds of one batched fixed
+    point still come out as their own single-config solve."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(
+        case=(
+            "mixed",
+            "comd",
+            [
+                ExecutionConfig(  # below-floor PKG, DRAM under base power
+                    n_nodes=2, n_threads=24, per_node_caps=((30.0, 5.0),) * 2,
+                    node_ids=(4, 1), iterations=2,
+                ),
+                ExecutionConfig(  # duty-cycle fallback beside a binding DRAM cap
+                    n_nodes=3, n_threads=24,
+                    per_node_caps=((65.0, 30.0), (200.0, 12.0), (120.0, 40.0)),
+                    node_ids=(0, 5, 6), iterations=2,
+                ),
+                ExecutionConfig(n_nodes=8, n_threads=6, iterations=2),
+            ],
+        )
+    )
+    @given(
+        case=st.sampled_from(sorted(_PROPERTY_FLEETS)).flatmap(_fleet_case)
+    )
+    def test_evaluate_many_equals_evaluate_and_run(self, case):
+        fleet, app_name, configs = case
+        app = get_app(app_name)
+        engine = _property_engine(fleet)
+        runner = ExecutionEngine(SimulatedCluster(_PROPERTY_FLEETS[fleet]()), seed=42)
+        batch = engine.evaluate_many(app, configs)
+        for cfg, result in zip(configs, batch):
+            assert_identical(result, engine.evaluate(app, cfg))
+            assert_identical(result, runner.run(app, cfg))
